@@ -17,6 +17,8 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
+from math import factorial
 
 from .errors import (
     ConsistencyError,
@@ -114,6 +116,20 @@ def job_key(job):
         json.dumps(job, sort_keys=True).encode()).hexdigest()[:24]
 
 
+def _write_atomic(path, text):
+    """Write text to path so that readers see either no file or all of it:
+    the bytes go to a temporary file in the same directory, which is then
+    renamed over path."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with open(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def compute_envelope(job):
     variety = build_variety(job.get("variety", {}))
     flag = build_flag(job.get("flag_ideal", {}), variety)
@@ -169,8 +185,7 @@ def cmd_compute(args):
     envelope = compute_envelope(job)
     text = _dump(envelope)
     if cache_file:
-        with open(cache_file, "w") as fh:
-            fh.write(text)
+        _write_atomic(cache_file, text)
     if args.format == "table":
         _print_table(envelope, sys.stdout)
     else:
@@ -201,8 +216,7 @@ def _verify_job(args):
         else:
             messages.append("no cached result; stored a fresh one")
             os.makedirs(args.cache_dir, exist_ok=True)
-            with open(cache_file, "w") as fh:
-                fh.write(text)
+            _write_atomic(cache_file, text)
     report = envelope["report"]
     for name, value in sorted(report.get("checks", {}).items()):
         if not value:
@@ -250,9 +264,7 @@ def _verify_battery(args):
         n = variety.dim
         ln, lk = variety.intersection_numbers()
         h = hilbert_polynomial(variety, 1)
-        fact_n = 1
-        for i in range(2, n + 1):
-            fact_n *= i
+        fact_n = factorial(n)
         good = (h.coefficient(n) * fact_n == ln
                 and h.coefficient(n - 1) * 2 * (fact_n // n) == -lk)
         record("riemann_roch_%s" % name, good)

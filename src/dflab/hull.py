@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 from .intlinalg import det, dot, hyperplane_normal, rank, solve_unique
 
@@ -111,10 +112,7 @@ def simplex_volume(verts):
         return Fraction(1)
     rows = [[x - y for x, y in zip(p, p0)] for p in verts[1:]]
     d = det(rows)
-    f = 1
-    for i in range(2, m + 1):
-        f *= i
-    return abs(d) / f
+    return abs(d) / factorial(m)
 
 
 def _facet_coords(facet_points, all_on_points):

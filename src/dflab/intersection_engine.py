@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .errors import ExponentTooSmall, UnsupportedMode
 from .hull import simplex_volume, triangulate_points
@@ -201,10 +202,7 @@ def face_degree(flag, f):
         assert sol is not None and all(x.denominator == 1 for x in sol)
         flat.append(tuple(int(x) for x in sol))
     vol = simplex_sum_volume(flat, d - 1)
-    fact = 1
-    for i in range(2, d):
-        fact *= i
-    out = vol * fact
+    out = vol * factorial(d - 1)
     assert out.denominator == 1
     return int(out)
 
@@ -235,9 +233,8 @@ def df_intersection(variety, flag, r):
     ln_r = ln * r ** n
     lk_r = lk * r ** (n - 1)
     integral = lower_hull_integral(variety, flag, r)
-    fact_np1 = 1
-    for i in range(2, n + 2):
-        fact_np1 *= i
+    fact_n = factorial(n)
+    fact_np1 = factorial(n + 1)
     le_power = -fact_np1 * integral
     t1 = -n * lk_r * le_power
     t2 = Fraction(0)
@@ -250,7 +247,6 @@ def df_intersection(variety, flag, r):
             normal=w, order=order, discrepancy=disc, face_degree=fd))
         t3 += disc * fd
     t3 = (n + 1) * ln_r * t3
-    fact_n = fact_np1 // (n + 1)
     df = Fraction(t1 + t2 + t3, 2 * fact_n * fact_np1)
     rays.sort(key=lambda ray: ray.normal)
     return DecompositionReport(

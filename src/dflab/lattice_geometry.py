@@ -11,7 +11,8 @@ computation is normalized against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
+from math import factorial
 
 from .errors import (
     InconsistentVertices,
@@ -117,25 +118,12 @@ class PolarizedToricVariety:
 
 
 def _lattice_points(poly, k):
-    if k == 0:
-        return [tuple(0 for _ in range(poly.dim))]
     n = poly.dim
-    lo = [min(v[i] for v in poly.vertices) * k for i in range(n)]
-    hi = [max(v[i] for v in poly.vertices) * k for i in range(n)]
-    out = []
-
-    def rec(prefix):
-        i = len(prefix)
-        if i == n:
-            out.append(tuple(prefix))
-            return
-        for x in range(lo[i], hi[i] + 1):
-            rec(prefix + [x])
-
-    rec([])
-    pts = [u for u in out
-           if all(dot(a, u) >= k * c for a, c in poly.facets)]
-    return sorted(pts)
+    axes = [range(min(v[i] for v in poly.vertices) * k,
+                  max(v[i] for v in poly.vertices) * k + 1) for i in range(n)]
+    # product yields the box in lexicographic, hence sorted, order
+    return [u for u in product(*axes)
+            if all(dot(a, u) >= k * c for a, c in poly.facets)]
 
 
 def _facet_lattice_volume(poly, facet_index):
@@ -162,10 +150,7 @@ def _facet_lattice_volume(poly, facet_index):
         assert all(x.denominator == 1 for x in sol)
         flat.append(tuple(int(x) for x in sol))
     vol = volume_of_points(flat, n - 1)
-    f = 1
-    for i in range(2, n):
-        f *= i
-    norm = vol * f
+    norm = vol * factorial(n - 1)
     assert norm.denominator == 1
     return int(norm)
 
@@ -173,10 +158,7 @@ def _facet_lattice_volume(poly, facet_index):
 def _intersection_numbers(poly):
     n = poly.dim
     vol = volume_of_points(list(poly.vertices), n)
-    f = 1
-    for i in range(2, n + 1):
-        f *= i
-    ln = vol * f
+    ln = vol * factorial(n)
     assert ln.denominator == 1
     # each boundary divisor meets L^(n-1) in its facet's normalized volume
     boundary = sum(_facet_lattice_volume(poly, i) for i in range(len(poly.facets)))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import (
     ChainViolation,
@@ -235,6 +236,79 @@ def _chain_rows(flag, k):
         rows.append(acc)
     per[k] = rows
     return rows
+
+
+def _chart_functionals(variety, flag):
+    """Per chart: (generator indices, functionals, offsets), so that the
+    chart exponents of a lattice point u of sP are <a, u> - s * c."""
+    if flag.mode == "chart":
+        if flag.support != "point":
+            raise UnsupportedMode(
+                "chart-mode counting needs ideals supported at the chart point")
+        mat = variety.chart_matrix
+        return [(tuple(range(flag.nvars)), mat,
+                 tuple(dot(row, variety.chart_vertex) for row in mat))]
+    if not variety.smooth:
+        raise UnsupportedMode("cox-mode counting needs a smooth polytope")
+    facets = variety.polytope.facets
+    return [(chart, tuple(facets[i][0] for i in chart),
+             tuple(facets[i][1] for i in chart))
+            for chart in variety.maximal_charts()]
+
+
+def _prefix_min(table, shape):
+    """In place: each cell of the row-major box becomes the minimum over
+    the cells below it in every coordinate."""
+    stride = shape[-1]
+    for start in range(0, len(table), stride):
+        table[start:start + stride] = accumulate(
+            table[start:start + stride], min)
+    for length in reversed(shape[:-1]):
+        block = stride * length
+        for start in range(0, len(table), block):
+            for off in range(start + stride, start + block, stride):
+                table[off:off + stride] = map(
+                    min, table[off - stride:off], table[off:off + stride])
+        stride = block
+
+
+def level_tables(variety, flag, r, k):
+    """Level function of the non-trivial flag's k-th power on krP, one
+    table per chart.
+
+    Returns a list of (A, C, table) with
+    g_k(u) = max over the list of table[<A, u> - k * r * C].  Each table
+    covers the box of chart exponents reached by krP: axis i runs over
+    0 .. k*r*w_i, with w_i the largest value of the chart functional over
+    the vertices.  A cell is seeded with the first row of _chain_rows
+    having a generator that projects onto it (the top row kN otherwise),
+    and a prefix minimum along every axis turns seeds into levels.  A and
+    C fold the functionals, their offsets and the row-major strides into
+    one dot product.
+    """
+    charts = _chart_functionals(variety, flag)
+    rows = _chain_rows(flag, k)
+    scale = k * r
+    verts = variety.polytope.vertices
+    out = []
+    for idxs, funcs, offs in charts:
+        shape = [scale * max(dot(a, v) - c for v in verts) + 1
+                 for a, c in zip(funcs, offs)]
+        strides = [1] * len(shape)
+        for i in range(len(shape) - 2, -1, -1):
+            strides[i] = strides[i + 1] * shape[i + 1]
+        table = [len(rows) - 1] * (strides[0] * shape[0])
+        for j, row in enumerate(rows):
+            for g in row.gens:
+                z = [g[i] for i in idxs]
+                if all(x < m for x, m in zip(z, shape)):
+                    cell = dot(strides, z)
+                    if j < table[cell]:
+                        table[cell] = j
+        _prefix_min(table, shape)
+        weights = tuple(dot(strides, col) for col in zip(*funcs))
+        out.append((weights, dot(strides, offs), table))
+    return out
 
 
 def graded_piece(flag, k, j):

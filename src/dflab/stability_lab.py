@@ -14,7 +14,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from multiprocessing import get_context
 
 from .errors import (
@@ -56,17 +56,8 @@ class SearchBounds:
 
 
 def _exponent_vectors(nvars, d_max):
-    out = []
-
-    def rec(prefix, left):
-        if len(prefix) == nvars:
-            if any(prefix):
-                out.append(tuple(prefix))
-            return
-        for x in range(left + 1):
-            rec(prefix + [x], left - x)
-
-    rec([], d_max)
+    out = [v for v in product(range(d_max + 1), repeat=nvars)
+           if 0 < sum(v) <= d_max]
     return sorted(out, key=lambda v: (sum(v), v))
 
 
@@ -106,18 +97,15 @@ def enumerate_flag_ideals(variety, bounds):
     nvars = variety.dim if bounds.mode == "chart" else len(variety.polytope.facets)
     cands = candidate_ideals(nvars, bounds)
     chains = []
-
-    def extend(chain):
-        if chain:
-            chains.append(tuple(chain))
-        if len(chain) == bounds.n_max:
-            return
-        last = chain[-1] if chain else None
-        for c in cands:
-            if last is None or c.includes(last):
-                extend(chain + [c])
-
-    extend([])
+    # depth-first, children in candidate order: a chain precedes its
+    # extensions, and siblings keep the order of cands
+    stack = [(c,) for c in reversed(cands)] if bounds.n_max > 0 else []
+    while stack:
+        chain = stack.pop()
+        chains.append(chain)
+        if len(chain) < bounds.n_max:
+            stack.extend(chain + (c,) for c in reversed(cands)
+                         if c.includes(chain[-1]))
     return chains
 
 
@@ -261,6 +249,28 @@ class SearchReport:
         return out
 
 
+def _load_stream(path):
+    """Records already on a JSONL stream, by key.
+
+    A last line without its newline is the tail of a write that was cut
+    off; it is dropped and truncated from the file, so that appended
+    records start on a line of their own.
+    """
+    if not os.path.exists(path):
+        return {}
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            fh.truncate(end)
+    done = {}
+    for line in data[:end].decode().splitlines():
+        if line.strip():
+            rec = json.loads(line)
+            done[rec["key"]] = rec
+    return done
+
+
 def search_destabilizers(variety, bounds, options=None, workers=1,
                          stream_path=None):
     """Evaluate every chain within bounds at every exponent in r_list.
@@ -278,15 +288,7 @@ def search_destabilizers(variety, bounds, options=None, workers=1,
         for r in bounds.r_list:
             tasks.append((variety, bounds.mode, gens, r, options))
 
-    done = {}
-    if stream_path and os.path.exists(stream_path):
-        with open(stream_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                done[rec["key"]] = rec
+    done = _load_stream(stream_path) if stream_path else {}
 
     todo = []
     keys = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil
+from math import ceil, factorial
 
 from .errors import (
     ConsistencyError,
@@ -24,7 +24,8 @@ from .errors import (
     NotStabilized,
     UnsupportedMode,
 )
-from .monomial_algebra import newton_polyhedron, phi_value, t_degree
+from .intlinalg import dot
+from .monomial_algebra import level_tables, newton_polyhedron, phi_value
 
 
 @dataclass(frozen=True)
@@ -168,11 +169,27 @@ def _poly_mul_linear(coeffs, c0):
 # sample generators
 
 def weight_at(variety, flag, r, k):
-    """W(k) for the stripped flag: minus the total level over krP."""
-    total = 0
-    for u in variety.lattice_points(k * r):
-        total += t_degree(variety, flag, r, k, u)
-    return -total
+    """W(k) for the stripped flag: minus the total level over krP.
+
+    Levels come from level_tables, built once for this (flag, k): one
+    integer table per chart (the single fixed chart in chart mode, every
+    maximal chart in cox mode) holding the least row of J^k that contains
+    each chart exponent vector of krP.  A point's level is the largest of
+    its table entries, read through one dot product per chart.  This
+    agrees with summing t_degree over krP, which searches the rows per
+    point and stays the reference.
+    """
+    if flag.trivial:
+        return 0
+    scale = k * r
+    tables = level_tables(variety, flag, r, k)
+    points = variety.lattice_points(scale)
+    levels = None
+    for a, c, table in tables:
+        off = scale * c
+        col = [table[dot(a, u) - off] for u in points]
+        levels = col if levels is None else list(map(max, levels, col))
+    return -sum(levels)
 
 
 def weight_sequence(variety, flag, r, ks):
@@ -337,9 +354,7 @@ def _check_battery(variety, flag, r, weight_poly, hilbert_poly):
     checks = {}
     # fitted Ehrhart data must reproduce the intersection numbers
     ln, lk = variety.intersection_numbers()
-    fact_n = 1
-    for i in range(2, n + 1):
-        fact_n *= i
+    fact_n = factorial(n)
     checks["weak_riemann_roch"] = (
         hilbert_poly.coefficient(n) * fact_n == ln * r ** n
         and hilbert_poly.coefficient(n - 1) * 2 * (fact_n // n) == -lk * r ** (n - 1))
@@ -474,9 +489,7 @@ def evaluate(variety, flag, r, pipeline="both", options=None):
         return report
     report.decomposition = deco
     n = variety.dim
-    fact_np1 = 1
-    for i in range(2, n + 2):
-        fact_np1 *= i
+    fact_np1 = factorial(n + 1)
     if report.weight_poly.coefficient(n + 1) * fact_np1 != deco.le_power:
         raise ConsistencyError(
             "leading weight coefficient %s disagrees with the hull integral"

@@ -136,6 +136,50 @@ def test_compute_cache_replay(tmp_path, capsys):
     assert json.loads(out2)["report"]["DF"] == "999"
 
 
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_interrupted_cache_write_leaves_no_envelope(tmp_path, capsys,
+                                                    monkeypatch, command):
+    path = write_job(tmp_path, COMPUTE_JOB)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+
+    class Killed(BaseException):
+        pass
+
+    class TornFile:
+        """A file whose write lands half its bytes, then the process dies."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise Killed()
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return TornFile(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(cli, "open", torn_open, raising=False)
+    with pytest.raises(Killed):
+        cli.main([command, "--job", path, "--cache-dir", str(cache)])
+    capsys.readouterr()
+    monkeypatch.undo()
+    # nothing half written sits under a name a later run would read
+    assert list(cache.iterdir()) == []
+    code, out, _ = run(capsys, ["compute", "--job", path,
+                                "--cache-dir", str(cache)])
+    assert code == 0
+    assert json.loads(out)["report"]["DF"] == "1"
+
+
 # ---------------------------------------------------------------------------
 # verify
 

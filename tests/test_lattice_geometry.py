@@ -1,5 +1,7 @@
 """Polytope validation, lattice point counts, and intersection numbers."""
 
+import gc
+
 import pytest
 
 import oracles
@@ -90,6 +92,19 @@ def test_ehrhart_matches_oracle_scan_box(k):
 def test_ehrhart_matches_oracle_scan_f1(k):
     v = hirzebruch_anticanonical()
     assert sorted(v.lattice_points(k)) == sorted(oracles.f1_points(k))
+
+
+def test_lattice_points_leave_no_reference_cycles():
+    # a cycle would keep the whole bounding box alive until the cyclic
+    # collector happens to run
+    v = hirzebruch_anticanonical()
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(v.lattice_points(30)) == v.ehrhart_count(30)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_intersection_numbers():

@@ -1,5 +1,6 @@
 """Tests for the bounded destabilizer search."""
 
+import gc
 import json
 from fractions import Fraction
 
@@ -77,6 +78,18 @@ def test_chain_enumeration_empty_without_degrees():
     v = projective_space(1, 1)
     bounds = SearchBounds(n_max=2, d_max=0, g_max=1, r_list=(1,))
     assert enumerate_flag_ideals(v, bounds) == []
+
+
+def test_chain_enumeration_leaves_no_reference_cycles():
+    v = hirzebruch_anticanonical()
+    bounds = SearchBounds(n_max=2, d_max=2, g_max=1, r_list=(1,), mode="cox")
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumerate_flag_ideals(v, bounds)) == 44
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_search_space_size_matches_enumeration():
@@ -168,6 +181,23 @@ def test_search_stream_and_resume(tmp_path, monkeypatch):
     second = search_destabilizers(v, LINE_BOUNDS, stream_path=str(stream))
     assert second.records == first.records
     assert stream.read_text().splitlines() == lines
+
+
+def test_search_resume_drops_torn_last_line(tmp_path):
+    v = projective_space(1, 1)
+    bounds = SearchBounds(n_max=1, d_max=2, g_max=1, r_list=(2,))
+    stream = tmp_path / "records.jsonl"
+    first = search_destabilizers(v, bounds, stream_path=str(stream))
+    lines = stream.read_text().splitlines(keepends=True)
+    assert len(lines) == 2
+    # a kill mid-write leaves the last record cut short, without newline
+    stream.write_text(lines[0] + lines[1][:len(lines[1]) // 2])
+    second = search_destabilizers(v, bounds, stream_path=str(stream))
+    assert second.records == first.records
+    # the torn tail was cut off before the recomputed record went on file
+    text = stream.read_text()
+    assert text.endswith("\n")
+    assert [json.loads(line) for line in text.splitlines()] == first.records
 
 
 def test_witness_round_trip():

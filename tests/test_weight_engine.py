@@ -3,14 +3,27 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dflab.errors import ConsistencyError, ExponentTooSmall, NotStabilized
+from dflab.errors import (
+    ConsistencyError,
+    ExponentTooSmall,
+    NotStabilized,
+    UnsupportedMode,
+)
 from dflab.lattice_geometry import (
     box,
     hirzebruch_anticanonical,
+    make_variety,
     projective_space,
 )
-from dflab.monomial_algebra import FlagIdeal, MonomialIdeal, validate_flag_ideal
+from dflab.monomial_algebra import (
+    FlagIdeal,
+    MonomialIdeal,
+    t_degree,
+    validate_flag_ideal,
+)
 from dflab.weight_engine import (
     DFReport,
     ExactPolynomial,
@@ -133,6 +146,84 @@ def test_weight_pins_on_the_line():
 
     v1 = projective_space(1, 1)
     assert weight_at(v1, flag_of([[(1,)]], 1), 1, 2) == -3
+
+
+# weight_at reads levels from per-chart tables; t_degree is the per-point
+# reference.  Exponents up to 6 reach past the chart box at small k * r.
+
+CHART_VARIETIES = [
+    projective_space(1, 1),
+    projective_space(2, 2),
+    box((1, 2)),
+    projective_space(3, 1),
+]
+F1 = hirzebruch_anticanonical()
+
+
+def reference_weight(variety, flag, r, k):
+    return -sum(t_degree(variety, flag, r, k, u)
+                for u in variety.lattice_points(k * r))
+
+
+@st.composite
+def increasing_chain(draw, first, nvars, hi):
+    """Generator lists of an increasing chain that starts at first."""
+    gens = list(first)
+    levels = [gens]
+    extra = st.tuples(*[st.integers(0, hi)] * nvars)
+    for _ in range(draw(st.integers(0, 2))):
+        gens = gens + draw(st.lists(extra, min_size=1, max_size=2))
+        levels.append(gens)
+    return levels
+
+
+@st.composite
+def chart_flags(draw):
+    variety = draw(st.sampled_from(CHART_VARIETIES))
+    n = variety.dim
+    # pure powers make every ideal of the chain point supported
+    powers = [tuple(draw(st.integers(1, 6)) if j == i else 0
+                    for j in range(n)) for i in range(n)]
+    mixed = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=2))
+    levels = draw(increasing_chain(powers + mixed, n, 4))
+    return variety, flag_of(levels, n)
+
+
+@st.composite
+def cox_flags(draw):
+    first = draw(st.lists(st.tuples(*[st.integers(0, 6)] * 4),
+                          min_size=1, max_size=2))
+    levels = draw(increasing_chain(first, 4, 6))
+    return flag_of(levels, 4, mode="cox", variety=F1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chart_flags(), st.integers(1, 2), st.integers(1, 2))
+def test_weight_at_matches_t_degree_sum_chart(case, r, k):
+    variety, flag = case
+    assert weight_at(variety, flag, r, k) == \
+        reference_weight(variety, flag, r, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cox_flags(), st.integers(1, 2), st.integers(1, 3))
+def test_weight_at_matches_t_degree_sum_cox(flag, r, k):
+    assert weight_at(F1, flag, r, k) == reference_weight(F1, flag, r, k)
+
+
+def test_weight_at_unsupported_modes():
+    general = flag_of([[(1, 0)]], 2)
+    assert general.support == "general"
+    with pytest.raises(UnsupportedMode):
+        weight_at(projective_space(2, 1), general, 1, 1)
+    # cox counting needs global smoothness
+    vq = make_variety([(0, 0), (2, 0), (0, 1), (2, 2)])
+    assert not vq.smooth
+    nf = len(vq.polytope.facets)
+    cflag = flag_of([[tuple(1 for _ in range(nf))]], nf,
+                    mode="cox", variety=vq)
+    with pytest.raises(UnsupportedMode):
+        weight_at(vq, cflag, 1, 1)
 
 
 def test_closure_weight_agrees_on_integrally_closed_flag():
