@@ -20,6 +20,7 @@ import sys
 import tempfile
 from math import factorial
 
+from . import __version__
 from .errors import (
     ConsistencyError,
     ExponentTooSmall,
@@ -112,8 +113,11 @@ def load_job(args):
 
 
 def job_key(job):
-    return hashlib.sha256(
-        json.dumps(job, sort_keys=True).encode()).hexdigest()[:24]
+    """Cache key of a job: the job and the dflab version that computed it,
+    so a cache written by another version is not replayed."""
+    return hashlib.sha256(json.dumps(
+        {"job": job, "version": __version__},
+        sort_keys=True).encode()).hexdigest()[:24]
 
 
 def _write_atomic(path, text):

@@ -139,13 +139,21 @@ def preset_normal_cone(ideal):
 # ---------------------------------------------------------------------------
 # search driver
 
-def record_key(mode, chain_gens, r, variety):
+def record_key(mode, chain_gens, r, variety, options=None):
+    """Content hash of a search record's input, fit options included: a
+    record decided under one sample window, guard or cap is not reused
+    under another.  The default window is written out, so it hashes like
+    the same window given explicitly."""
+    options = options or FitOptions()
     payload = json.dumps({
         "mode": mode,
         "chain": [[list(g) for g in gens] for gens in chain_gens],
         "r": r,
         "vertices": [list(v) for v in variety.polytope.vertices],
         "chart": list(variety.chart_vertex),
+        "window": list(options.window_for(variety.dim)),
+        "guard": options.guard,
+        "cap": options.cap,
     }, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -155,7 +163,7 @@ def _evaluate_task(task):
     variety, mode, chain_gens, r, options = task
     nvars = variety.dim if mode == "chart" else len(variety.polytope.facets)
     chain = [MonomialIdeal.make(nvars, gens) for gens in chain_gens]
-    key = record_key(mode, chain_gens, r, variety)
+    key = record_key(mode, chain_gens, r, variety, options)
     rec = {
         "key": key,
         "mode": mode,
@@ -293,7 +301,7 @@ def search_destabilizers(variety, bounds, options=None, workers=1,
     todo = []
     keys = []
     for task in tasks:
-        key = record_key(task[1], task[2], task[3], task[0])
+        key = record_key(task[1], task[2], task[3], task[0], task[4])
         keys.append(key)
         if key not in done:
             todo.append(task)

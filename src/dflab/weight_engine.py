@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, factorial
+from math import factorial
 
 from .errors import (
     ConsistencyError,
@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedMode,
 )
 from .intlinalg import dot
-from .monomial_algebra import level_tables, newton_polyhedron, phi_value
+from .monomial_algebra import level_tables, newton_polyhedron
 
 
 @dataclass(frozen=True)
@@ -181,11 +181,14 @@ def weight_at(variety, flag, r, k):
     """
     if flag.trivial:
         return 0
+    return _weight(variety, flag, r, k, variety.lattice_points(k * r))
+
+
+def _weight(variety, flag, r, k, points):
+    """weight_at on the already enumerated lattice points of krP."""
     scale = k * r
-    tables = level_tables(variety, flag, r, k)
-    points = variety.lattice_points(scale)
     levels = None
-    for a, c, table in tables:
+    for a, c, table in level_tables(variety, flag, r, k):
         off = scale * c
         col = [table[dot(a, u) - off] for u in points]
         levels = col if levels is None else list(map(max, levels, col))
@@ -201,14 +204,48 @@ def closure_weight_at(variety, flag, r, k):
 
     Counting against the hull rather than the ideal powers gives the
     integral closure's weight; it never exceeds the true level count.
+
+    The count is integer-exact.  With y the chart coordinates of u,
+    k * phi(y / k) = max(0, max_f (k * order_f - <w_f, y>) / t_f) over the
+    compact facets f of the Newton polyhedron, whose normals (w_f, t_f)
+    are strictly positive, so t_f > 0.  The ceiling of a maximum is the
+    maximum of the ceilings, hence each level is
+    max(0, max_f -((<w_f, y> - k * order_f) // t_f)), an integer equal to
+    ceil(k * phi_value(np, y / k)), which stays the per-point reference.
+    """
+    return _closure_weight(_closure_functionals(variety, flag, r), k,
+                           variety.lattice_points(k * r))
+
+
+def _closure_functionals(variety, flag, r):
+    """Per compact facet of the Newton polyhedron: (a, c, t) such that the
+    closure level of a lattice point u of krP is the maximum of 0 and
+    ceil((k * c - <a, u>) / t) over the facets.
+
+    The chart map y = U (u - k r v0) is folded into the facet functional:
+    a = U^T w and c = order + r <a, v0>, neither depending on k.
     """
     np_ = newton_polyhedron(flag)
-    total = 0
-    for u in variety.lattice_points(k * r):
-        y = variety.chart_coords(u, k * r)
-        v = phi_value(np_, tuple(Fraction(t, k) for t in y))
-        total += ceil(v * k)
-    return -total
+    cols = tuple(zip(*variety.chart_matrix))
+    out = []
+    for f in np_.facets:
+        w, t = f.normal[:-1], f.normal[-1]
+        assert t > 0
+        a = tuple(dot(w, col) for col in cols)
+        out.append((a, f.order + r * dot(a, variety.chart_vertex), t))
+    return out
+
+
+def _closure_weight(funcs, k, points):
+    """closure_weight_at from _closure_functionals, on the already
+    enumerated lattice points of krP."""
+    levels = [0] * len(points)
+    for a, c, t in funcs:
+        # ceil(m / t) == (m + t - 1) // t for t > 0
+        top = k * c + t - 1
+        levels = list(map(max, levels, [(top - dot(a, u)) // t
+                                         for u in points]))
+    return -sum(levels)
 
 
 def hilbert_at(variety, r, k):
@@ -223,6 +260,10 @@ class FitOptions:
     window: tuple = None   # inclusive (k_min, k_max); default (1, n + 6)
     guard: int = 2
     cap: int = 40
+
+    def window_for(self, n):
+        """The sample window used in dimension n."""
+        return self.window or (1, n + 6)
 
 
 @dataclass
@@ -271,8 +312,7 @@ class DFReport:
 
 
 def _fit_with_extension(sampler, max_degree, options, n):
-    window = options.window or (1, n + 6)
-    lo, hi = window
+    lo, hi = options.window_for(n)
     samples = {k: sampler(k) for k in range(lo, hi + 1)}
     while True:
         try:
@@ -389,10 +429,25 @@ def df_counting(variety, flag, r, options=None):
         report.checks = _check_battery(variety, flag, r, zero, hpoly)
         return report
     _semiample_note = _semiample_precheck(variety, flag, r)
-    wpoly, wsamples = _fit_with_extension(
-        lambda k: weight_at(variety, flag, r, k), n + 1, options, n)
+    # one enumeration of krP per sample k feeds the weight, the Hilbert
+    # count and, for point-supported chart flags, the closure weight; only
+    # the integers are kept across samples
+    closure = flag.mode == "chart" and flag.support == "point"
+    funcs = _closure_functionals(variety, flag, r) if closure else None
+    counts = {}
+    closure_samples = {}
+
+    def sample(k):
+        points = variety.lattice_points(k * r)
+        counts[k] = len(points)
+        if closure:
+            closure_samples[k] = _closure_weight(funcs, k, points)
+        return _weight(variety, flag, r, k, points)
+
+    wpoly, wsamples = _fit_with_extension(sample, n + 1, options, n)
     hpoly, _ = _fit_with_extension(
-        lambda k: hilbert_at(variety, r, k), n, options, n)
+        lambda k: counts[k] if k in counts else hilbert_at(variety, r, k),
+        n, options, n)
     df = df_from_fits(wpoly, hpoly, n)
     report = DFReport(df=df, r=r, pipeline="counting", trivial=False,
                       weight_poly=wpoly, hilbert_poly=hpoly,
@@ -401,15 +456,8 @@ def df_counting(variety, flag, r, options=None):
     if _semiample_note:
         report.notes.append(_semiample_note)
     # closure comparison doubles as an integral-closedness detector
-    if flag.mode == "chart" and flag.support == "point":
-        closed = True
-        closure_samples = {}
-        for k in sorted(wsamples):
-            cw = closure_weight_at(variety, flag, r, k)
-            closure_samples[k] = cw
-            if cw != wsamples[k]:
-                closed = False
-        report.integrally_closed = closed
+    if closure:
+        report.integrally_closed = closure_samples == wsamples
         try:
             cpoly = fit_polynomial(closure_samples, n + 1, options.guard)
             report.closure_df = df_from_fits(cpoly, hpoly, n)

@@ -136,6 +136,32 @@ def test_compute_cache_replay(tmp_path, capsys):
     assert json.loads(out2)["report"]["DF"] == "999"
 
 
+def test_compute_cache_of_another_version_is_recomputed(tmp_path, capsys,
+                                                        monkeypatch):
+    path = write_job(tmp_path, COMPUTE_JOB)
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(cli, "__version__", "0.0.0")
+    code, out, _ = run(capsys, ["compute", "--job", path,
+                                "--cache-dir", str(cache)])
+    assert code == 0
+    [old] = cache.iterdir()
+    # the other version's envelope holds a value this version would not give
+    stale = json.loads(out)
+    stale["report"]["DF"] = "999"
+    old.write_text(json.dumps(stale, sort_keys=True, indent=2) + "\n")
+    monkeypatch.undo()
+    code, out, _ = run(capsys, ["compute", "--job", path,
+                                "--cache-dir", str(cache)])
+    assert code == 0
+    assert json.loads(out)["report"]["DF"] == "1"
+    assert len(list(cache.iterdir())) == 2
+    # verify --job looks under the same key, so it sees the fresh envelope
+    code, out, _ = run(capsys, ["verify", "--job", path,
+                                "--cache-dir", str(cache)])
+    assert code == 0
+    assert json.loads(out)["messages"] == []
+
+
 @pytest.mark.parametrize("command", ["compute", "verify"])
 def test_interrupted_cache_write_leaves_no_envelope(tmp_path, capsys,
                                                     monkeypatch, command):

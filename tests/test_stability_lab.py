@@ -23,7 +23,7 @@ from dflab.stability_lab import (
     search_destabilizers,
     search_space_size,
 )
-from dflab.weight_engine import evaluate
+from dflab.weight_engine import FitOptions, evaluate
 
 
 LINE_BOUNDS = SearchBounds(n_max=1, d_max=2, g_max=1, r_list=(1, 2))
@@ -123,6 +123,13 @@ def test_record_key_is_stable_and_sensitive():
     assert key != record_key("chart", gens, 2, v)
     assert key != record_key("chart", (((2,),),), 1, v)
     assert key != record_key("chart", gens, 1, w)
+    # fit options are part of the input; the default window hashes like
+    # the same window given explicitly
+    assert key == record_key("chart", gens, 1, v, FitOptions())
+    assert key == record_key("chart", gens, 1, v, FitOptions(window=(1, 7)))
+    assert key != record_key("chart", gens, 1, v, FitOptions(window=(1, 4)))
+    assert key != record_key("chart", gens, 1, v, FitOptions(guard=3))
+    assert key != record_key("chart", gens, 1, v, FitOptions(cap=4))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +205,22 @@ def test_search_resume_drops_torn_last_line(tmp_path):
     text = stream.read_text()
     assert text.endswith("\n")
     assert [json.loads(line) for line in text.splitlines()] == first.records
+
+
+def test_search_resume_ignores_records_of_other_fit_options(tmp_path):
+    # records left undecided by a narrow window and a low cap must not be
+    # replayed by a resume that runs with the default options
+    v = hirzebruch_anticanonical()
+    bounds = SearchBounds(n_max=1, d_max=2, g_max=1, r_list=(1,), mode="cox")
+    stream = str(tmp_path / "records.jsonl")
+    narrow = search_destabilizers(
+        v, bounds, options=FitOptions(window=(1, 4), cap=4),
+        stream_path=stream)
+    fresh = search_destabilizers(v, bounds)
+    assert len(narrow.undecided) > len(fresh.undecided)
+    resumed = search_destabilizers(v, bounds, stream_path=stream)
+    assert resumed.records == fresh.records
+    assert len(resumed.undecided) == len(fresh.undecided) == 3
 
 
 def test_witness_round_trip():

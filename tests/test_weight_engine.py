@@ -1,9 +1,10 @@
 """Tests for the weight counting pipeline: fitting, pins, identities."""
 
 from fractions import Fraction
+from math import ceil
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dflab.errors import (
@@ -13,6 +14,7 @@ from dflab.errors import (
     UnsupportedMode,
 )
 from dflab.lattice_geometry import (
+    PolarizedToricVariety,
     box,
     hirzebruch_anticanonical,
     make_variety,
@@ -21,9 +23,12 @@ from dflab.lattice_geometry import (
 from dflab.monomial_algebra import (
     FlagIdeal,
     MonomialIdeal,
+    newton_polyhedron,
+    phi_value,
     t_degree,
     validate_flag_ideal,
 )
+import dflab.weight_engine as we
 from dflab.weight_engine import (
     DFReport,
     ExactPolynomial,
@@ -240,6 +245,84 @@ def test_closure_weight_detects_gap():
     for k in range(1, 5):
         assert weight_at(v, flag, 1, k) == -2 * k * k - 2 * k
         assert closure_weight_at(v, flag, 1, k) == -2 * k * k - k
+
+
+# closure_weight_at counts in integers through folded facet functionals;
+# ceil(k * phi_value(np, y / k)) at the chart coordinates y is the
+# per-point reference.  F1 charted at (3, 2) has the chart matrix
+# ((-1, 1), (0, -1)), not the identity, so the folding is exercised.
+
+CLOSURE_VARIETIES = [
+    projective_space(1, 2),
+    projective_space(2, 2),
+    box((1, 2)),
+    projective_space(3, 1),
+    make_variety(F1.polytope.vertices, chart_vertex=(3, 2)),
+]
+
+
+def reference_closure_weight(variety, flag, r, k):
+    np_ = newton_polyhedron(flag)
+    total = 0
+    for u in variety.lattice_points(k * r):
+        y = variety.chart_coords(u, k * r)
+        total += ceil(k * phi_value(np_, tuple(Fraction(t, k) for t in y)))
+    return -total
+
+
+@st.composite
+def closure_flags(draw):
+    variety = draw(st.sampled_from(CLOSURE_VARIETIES))
+    n = variety.dim
+    hi = 3 if n == 3 else 5
+    powers = [tuple(draw(st.integers(1, hi)) if j == i else 0
+                    for j in range(n)) for i in range(n)]
+    mixed = draw(st.lists(st.tuples(*[st.integers(0, hi - 1)] * n),
+                          max_size=2))
+    levels = draw(increasing_chain(powers + mixed, n, hi - 1))
+    return variety, flag_of(levels, n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(closure_flags(), st.integers(1, 2), st.integers(1, 3))
+# (x^3, y^3) is not integrally closed: its closure count is strictly above
+# the count of its powers
+@example((projective_space(2, 2), flag_of([[(3, 0), (0, 3)]], 2)), 2, 3)
+def test_closure_weight_matches_phi_reference(case, r, k):
+    variety, flag = case
+    assert closure_weight_at(variety, flag, r, k) == \
+        reference_closure_weight(variety, flag, r, k)
+
+
+def test_df_counting_enumerates_each_sample_once(monkeypatch):
+    v = projective_space(2, 2)
+    flag = flag_of([[(2, 0), (1, 1), (0, 2)]], 2)
+    r = 3
+    scales = []
+    hilbert_ks = []
+    enumerate_points = PolarizedToricVariety.lattice_points
+    hilbert = we.hilbert_at
+
+    def counted_points(self, k):
+        scales.append(k)
+        return enumerate_points(self, k)
+
+    def counted_hilbert(variety, r_, k):
+        hilbert_ks.append(k)
+        return hilbert(variety, r_, k)
+
+    monkeypatch.setattr(PolarizedToricVariety, "lattice_points",
+                        counted_points)
+    monkeypatch.setattr(we, "hilbert_at", counted_hilbert)
+    report = df_counting(v, flag, r)
+    assert report.df == 21
+    # one enumeration per weight sample k, at the scale k * r
+    sampled = [s // r for s in scales]
+    assert all(s % r == 0 for s in scales)
+    assert sorted(sampled) == list(range(1, len(sampled) + 1))
+    assert len(sampled) >= v.dim + 6
+    # the Hilbert fit reuses the counts of the sampled k
+    assert not set(hilbert_ks) & set(sampled)
 
 
 # ---------------------------------------------------------------------------
