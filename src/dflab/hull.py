@@ -1,7 +1,12 @@
 """Exact convex-hull primitives by exhaustive subset enumeration.
 
 Point counts here are small (tens, not thousands), so facets are found by
-testing every d-subset for a supporting hyperplane.  All answers are exact.
+testing every d-subset for a supporting hyperplane.  Everything else is
+read from those facets: a set of affine rank m is first projected onto m
+coordinates on which that rank survives (an affine isomorphism on its
+affine hull, integer points staying integer), its vertices are the points
+whose facet normals have rank m, and triangulations cone the facets from
+the lexicographically least point.  All answers are exact.
 """
 
 from __future__ import annotations
@@ -11,7 +16,16 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .intlinalg import det, dot, hyperplane_normal, rank, solve_unique
+from .errors import InvalidInput
+from .intlinalg import (
+    det,
+    dot,
+    hyperplane_normal,
+    kernel_basis,
+    rank,
+    rref,
+    solve_unique,
+)
 
 
 @dataclass(frozen=True)
@@ -21,11 +35,11 @@ class Facet:
     points: tuple        # input points lying on the facet, sorted
 
 
-def _affine_rank(points):
-    if len(points) <= 1:
-        return 0
+def _rank_coords(points):
+    """Coordinates on which the affine rank of points survives; projecting
+    onto them is an affine isomorphism on the affine hull of points."""
     p0 = points[0]
-    return rank([[x - y for x, y in zip(p, p0)] for p in points[1:]])
+    return rref([[x - y for x, y in zip(p, p0)] for p in points[1:]])[1]
 
 
 def facets_of_points(points, strictly_positive=False):
@@ -61,14 +75,17 @@ def facets_of_points(points, strictly_positive=False):
             if key in seen:
                 continue
             on = tuple(p for p in points if dot(w, p) == c)
-            if _affine_rank(on) == d - 1:
+            if len(_rank_coords(on)) == d - 1:
                 seen[key] = Facet(w, c, on)
     return [seen[k] for k in sorted(seen)]
 
 
 def point_in_convex_hull(q, points):
     """Exact membership test via Caratheodory: q is in conv(points) iff it is
-    a convex combination of some affinely independent subset."""
+    a convex combination of some affinely independent subset.
+
+    The library does not call it; it is the per-point reference that tests
+    compare extreme_points against."""
     q = tuple(q)
     points = [tuple(p) for p in points]
     if q in points:
@@ -94,14 +111,31 @@ def point_in_convex_hull(q, points):
 
 
 def extreme_points(points):
-    """Vertices of conv(points): points not in the hull of the others."""
+    """Vertices of conv(points), in sorted order.
+
+    The points are projected onto coordinates on which their affine rank m
+    survives, so the projected set is full-dimensional in R^m; a point is a
+    vertex exactly when the normals of the projected facets through it
+    have rank m.  point_in_convex_hull is the reference tests compare with.
+    """
     points = sorted(set(tuple(p) for p in points))
-    out = []
-    for i, p in enumerate(points):
-        rest = points[:i] + points[i + 1:]
-        if not rest or not point_in_convex_hull(p, rest):
-            out.append(p)
-    return out
+    if len(points) < 2:
+        return points
+    coords = _rank_coords(points)
+    flat = [tuple(p[i] for i in coords) for p in points]
+    return _vertices(points, flat, facets_of_points(flat))
+
+
+def _vertices(points, flat, facets):
+    """Points whose image in flat, a full-dimensional set with the given
+    facets, lies on facets whose normals have full rank."""
+    normals = {q: [] for q in flat}
+    for f in facets:
+        for q in f.points:
+            normals[q].append(f.normal)
+    m = len(flat[0])
+    return [p for p, q in zip(points, flat)
+            if len(normals[q]) >= m and rank(normals[q]) == m]
 
 
 def simplex_volume(verts):
@@ -115,56 +149,27 @@ def simplex_volume(verts):
     return abs(d) / factorial(m)
 
 
-def _facet_coords(facet_points, all_on_points):
-    """Coordinates of a facet's points in an affine frame of the facet.
-
-    Returns (frame point, frame columns, coordinate map).  The frame columns
-    are d-1 affinely independent difference vectors chosen from the facet.
-    """
-    p0 = facet_points[0]
-    d = len(p0)
-    diffs = [[x - y for x, y in zip(p, p0)] for p in facet_points[1:]]
-    frame = []
-    for v in diffs:
-        if rank(frame + [v]) > len(frame):
-            frame.append(v)
-        if len(frame) == d - 1:
-            break
-    if len(frame) != d - 1:
-        raise ValueError("facet is not (d-1)-dimensional")
-    coords = {}
-    for p in all_on_points:
-        target = [x - y for x, y in zip(p, p0)]
-        sol = solve_unique(frame, target)
-        if sol is None:
-            raise ValueError("point not in facet's affine span")
-        coords[tuple(p)] = sol
-    return p0, frame, coords
-
-
 def triangulate_points(points, dim):
     """Triangulation of conv(points) into simplices (tuples of dim+1 points).
 
-    Cones from a fixed vertex over triangulated facets not containing it.
-    Recursion bottoms out in dimension one.
+    Cones from the lexicographically least point, always a vertex, over
+    the triangulated facets not containing it, each facet flattened by a
+    coordinate projection.  Recursion bottoms out in dimension one.
     """
     points = sorted(set(tuple(p) for p in points))
-    verts = extreme_points(points)
-    if _affine_rank(verts) < dim:
+    if len(_rank_coords(points)) < dim:
         return []
     if dim == 1:
-        xs = sorted(verts)
-        return [(xs[0], xs[-1])]
-    apex = verts[0]
+        return [(points[0], points[-1])]
+    apex = points[0]
     simplices = []
-    for facet in facets_of_points(verts):
+    for facet in facets_of_points(points):
         if dot(facet.normal, apex) == facet.offset:
             continue
-        p0, frame, coords = _facet_coords(facet.points, facet.points)
-        flat = [coords[p] for p in facet.points]
-        back = {coords[p]: p for p in facet.points}
-        for simp in triangulate_points(flat, dim - 1):
-            simplices.append(tuple([apex] + [back[s] for s in simp]))
+        coords = _rank_coords(facet.points)
+        back = {tuple(p[i] for i in coords): p for p in facet.points}
+        for simp in triangulate_points(list(back), dim - 1):
+            simplices.append((apex,) + tuple(back[s] for s in simp))
     return simplices
 
 
@@ -174,3 +179,29 @@ def volume_of_points(points, dim):
     for simp in triangulate_points(points, dim):
         total += simplex_volume(simp)
     return total
+
+
+def lattice_volume(points, normal):
+    """Lattice-normalized volume of conv(points), an integer, for lattice
+    points on an affine hyperplane with primitive normal.
+
+    The hyperplane is a translate of the sublattice normal-perp; a basis of
+    that sublattice gives integer coordinates in which the normalized
+    volume is (d-1)! times the Euclidean volume.
+    """
+    d = len(normal)
+    if d == 1:
+        return 1
+    cols = [list(b) for b in kernel_basis(normal)]
+    p0 = points[0]
+    flat = []
+    for p in points:
+        sol = solve_unique(cols, [x - y for x, y in zip(p, p0)])
+        if sol is None:
+            raise InvalidInput(
+                "point %r outside the lattice span of the hyperplane" % (p,))
+        assert all(x.denominator == 1 for x in sol)
+        flat.append(tuple(int(x) for x in sol))
+    norm = volume_of_points(flat, d - 1) * factorial(d - 1)
+    assert norm.denominator == 1
+    return int(norm)

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 from .errors import ExponentTooSmall, UnsupportedMode
-from .hull import simplex_volume, triangulate_points
-from .intlinalg import dot, kernel_basis, solve_unique
+from .hull import lattice_volume, simplex_volume, triangulate_points
+from .intlinalg import dot, solve_unique
 from .monomial_algebra import newton_polyhedron
 
 
@@ -158,7 +159,6 @@ def _region_vertices(variety, np_, facet, r):
 
 def _polyhedron_vertices(halves, n):
     """All vertices of {y : <a, y> >= c for (a, c) in halves}, assumed bounded."""
-    from itertools import combinations
     out = set()
     for sub in combinations(range(len(halves)), n):
         cols = [[Fraction(halves[i][0][j]) for i in sub] for j in range(n)]
@@ -186,32 +186,10 @@ def exceptional_data(flag):
 def face_degree(flag, f):
     """Lattice-normalized volume of a compact facet of the Newton polyhedron.
 
-    The facet spans an affine hyperplane with primitive normal f.normal; a
-    lattice basis of the orthogonal sublattice gives coordinates in which
-    the normalized volume is (dim-1)! times the Euclidean volume.
+    The facet spans an affine hyperplane with primitive normal f.normal,
+    whose length is the dimension; the flag is not consulted.
     """
-    np_ = newton_polyhedron(flag)
-    d = np_.dim
-    basis = kernel_basis(f.normal)
-    p0 = f.vertices[0]
-    cols = [list(b) for b in basis]
-    flat = []
-    for p in f.vertices:
-        target = [x - y for x, y in zip(p, p0)]
-        sol = solve_unique(cols, target)
-        assert sol is not None and all(x.denominator == 1 for x in sol)
-        flat.append(tuple(int(x) for x in sol))
-    vol = simplex_sum_volume(flat, d - 1)
-    out = vol * factorial(d - 1)
-    assert out.denominator == 1
-    return int(out)
-
-
-def simplex_sum_volume(points, dim):
-    total = Fraction(0)
-    for simp in triangulate_points(points, dim):
-        total += simplex_volume(simp)
-    return total
+    return lattice_volume(f.vertices, f.normal)
 
 
 def df_intersection(variety, flag, r):

@@ -22,15 +22,13 @@ from .errors import (
     NotFullDimensional,
     PointOutsidePolytope,
 )
-from .hull import extreme_points, facets_of_points, volume_of_points
+from .hull import _vertices, facets_of_points, lattice_volume, volume_of_points
 from .intlinalg import (
     det,
     dot,
     integer_inverse,
-    kernel_basis,
     nullspace_primitive,
     rank,
-    solve_unique,
 )
 
 
@@ -126,42 +124,14 @@ def _lattice_points(poly, k):
             if all(dot(a, u) >= k * c for a, c in poly.facets)]
 
 
-def _facet_lattice_volume(poly, facet_index):
-    """Lattice-normalized volume of a facet, an integer.
-
-    The facet lives in an affine translate of the sublattice a-perp; a basis
-    of that sublattice gives integer coordinates in which the normalized
-    volume is (n-1)! times the Euclidean volume.
-    """
-    a, c = poly.facets[facet_index]
-    on = [v for v in poly.vertices if dot(a, v) == c]
-    n = poly.dim
-    if n == 1:
-        return 1
-    basis = kernel_basis(a)
-    p0 = on[0]
-    cols = [list(b) for b in basis]
-    flat = []
-    for p in on:
-        target = [x - y for x, y in zip(p, p0)]
-        sol = solve_unique(cols, target)
-        if sol is None:
-            raise InvalidInput("facet vertex outside facet lattice span")
-        assert all(x.denominator == 1 for x in sol)
-        flat.append(tuple(int(x) for x in sol))
-    vol = volume_of_points(flat, n - 1)
-    norm = vol * factorial(n - 1)
-    assert norm.denominator == 1
-    return int(norm)
-
-
 def _intersection_numbers(poly):
     n = poly.dim
     vol = volume_of_points(list(poly.vertices), n)
     ln = vol * factorial(n)
     assert ln.denominator == 1
     # each boundary divisor meets L^(n-1) in its facet's normalized volume
-    boundary = sum(_facet_lattice_volume(poly, i) for i in range(len(poly.facets)))
+    boundary = sum(lattice_volume([v for v in poly.vertices if dot(a, v) == c], a)
+                   for a, c in poly.facets)
     return int(ln), -boundary
 
 
@@ -223,12 +193,13 @@ def make_variety(vertices, chart_vertex=None):
     p0 = uniq[0]
     if len(uniq) < n + 1 or rank([[x - y for x, y in zip(p, p0)] for p in uniq[1:]]) < n:
         raise NotFullDimensional("vertices do not span dimension %d" % n)
-    ext = extreme_points(uniq)
-    if set(ext) != set(uniq):
+    hull = facets_of_points(uniq)
+    ext = _vertices(uniq, uniq, hull)
+    if ext != uniq:
         raise InconsistentVertices(
             "points %r are not vertices of the hull" %
             (sorted(set(uniq) - set(ext)),))
-    facets = tuple((f.normal, f.offset) for f in facets_of_points(uniq))
+    facets = tuple((f.normal, f.offset) for f in hull)
     poly = LatticePolytope(dim=n, vertices=tuple(uniq), facets=facets)
 
     v0 = tuple(int(x) for x in chart_vertex) if chart_vertex is not None else uniq[0]

@@ -111,26 +111,31 @@ class FlagIdeal:
         return not self.chain
 
 
-def _pure_power_support(ideal, idxs=None):
-    """True when, restricted to the listed variables, the ideal contains a
-    pure power of each of them (other variables are treated as invertible)."""
-    idxs = tuple(range(ideal.nvars)) if idxs is None else tuple(idxs)
-    for i in idxs:
-        if not any(g[i] > 0 and all(g[j] == 0 for j in idxs if j != i)
-                   for g in ideal.gens):
-            return False
-    return True
+def pure_powers(gens, idxs):
+    """For each variable i in idxs, the least e with x_i^e among gens, or
+    None when there is none; variables outside idxs count as invertible.
+
+    For an ideal's minimal generators this is the least power of x_i in the
+    ideal.  Along an increasing chain those powers can only drop, so the
+    chain's last ideal holds the least of them over the whole chain.
+    """
+    return tuple(
+        min((g[i] for g in gens
+             if g[i] > 0 and all(g[j] == 0 for j in idxs if j != i)),
+            default=None)
+        for i in idxs)
 
 
 def _classify_support(mode, chain, variety):
     if mode == "chart":
-        return "point" if all(_pure_power_support(i) for i in chain) else "general"
+        return "point" if all(None not in pure_powers(i.gens, range(i.nvars))
+                              for i in chain) else "general"
     point = True
     for chart in variety.maximal_charts():
         for ideal in chain:
             if ideal.includes_on(MonomialIdeal.unit(ideal.nvars), chart):
                 continue
-            if not _pure_power_support(ideal, chart):
+            if None in pure_powers(ideal.gens, chart):
                 point = False
     return "point" if point else "general"
 
@@ -449,8 +454,8 @@ def newton_polyhedron(flag):
         facets.append(ExceptionalFacet(
             normal=f.normal, order=int(f.offset),
             vertices=tuple(extreme_points(sorted(f.points)))))
-    verts = tuple(extreme_points(sorted(
-        p for f in facets for p in f.vertices)))
+    # facet vertices are vertices of the whole hull, so of their union's
+    verts = tuple(sorted({p for f in facets for p in f.vertices}))
     np_ = NewtonPolyhedron(dim=flag.nvars + 1, big_n=flag.big_n,
                            vertices=verts, facets=tuple(facets))
     _NP_CACHE[key] = np_

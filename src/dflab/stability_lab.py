@@ -23,7 +23,12 @@ from .errors import (
     InvalidInput,
     NotStabilized,
 )
-from .monomial_algebra import MonomialIdeal, minimalize, validate_flag_ideal
+from .monomial_algebra import (
+    MonomialIdeal,
+    minimalize,
+    pure_powers,
+    validate_flag_ideal,
+)
 from .weight_engine import FitOptions, evaluate
 
 
@@ -61,14 +66,6 @@ def _exponent_vectors(nvars, d_max):
     return sorted(out, key=lambda v: (sum(v), v))
 
 
-def _point_supported(gens, nvars):
-    for i in range(nvars):
-        if not any(g[i] > 0 and all(g[j] == 0 for j in range(nvars) if j != i)
-                   for g in gens):
-            return False
-    return True
-
-
 def candidate_ideals(nvars, bounds):
     """All candidate monomial ideals inside the bounds, smallest first.
 
@@ -83,7 +80,7 @@ def candidate_ideals(nvars, bounds):
         for combo in combinations(vectors, size):
             if minimalize(combo) != tuple(sorted(combo, key=lambda g: (sum(g), g))):
                 continue
-            if bounds.mode == "chart" and not _point_supported(combo, nvars):
+            if bounds.mode == "chart" and None in pure_powers(combo, range(nvars)):
                 continue
             out.append(MonomialIdeal.make(nvars, combo))
     # dedupe (different combos can minimalize to the same antichain, though

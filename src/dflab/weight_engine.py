@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedMode,
 )
 from .intlinalg import dot
-from .monomial_algebra import level_tables, newton_polyhedron
+from .monomial_algebra import level_tables, newton_polyhedron, pure_powers
 
 
 @dataclass(frozen=True)
@@ -471,17 +471,10 @@ def _semiample_precheck(variety, flag, r):
     fit usually lands in the quasi-polynomial regime."""
     if flag.mode != "chart" or flag.support != "point":
         return None
-    axis = []
-    n = variety.dim
-    for i in range(n):
-        best = None
-        for ideal in flag.chain:
-            for g in ideal.gens:
-                if g[i] > 0 and all(g[j] == 0 for j in range(n) if j != i):
-                    best = g[i] if best is None else min(best, g[i])
-        axis.append(best)
+    # the chain increases, so its last ideal has the least pure powers
+    axis = pure_powers(flag.chain[-1].gens, range(variety.dim))
     widths = _chart_axis_widths(variety)
-    for i in range(n):
+    for i in range(variety.dim):
         if axis[i] is not None and widths[i] is not None and r * widths[i] < axis[i]:
             return ("exceptional locus may be clipped at r=%d; expect a "
                     "quasi-polynomial or an exponent error" % r)

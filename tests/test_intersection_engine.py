@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from dflab.errors import ExponentTooSmall, UnsupportedMode
+from dflab.hull import volume_of_points
 from dflab.intersection_engine import (
     df_intersection,
     exceptional_data,
     face_degree,
     lower_hull_integral,
-    simplex_sum_volume,
 )
 from dflab.lattice_geometry import (
     box,
@@ -86,7 +86,7 @@ def test_face_degree_pins():
 
 def test_simplex_sum_volume_square():
     pts = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    assert simplex_sum_volume(pts, 2) == 1
+    assert volume_of_points(pts, 2) == 1
 
 
 # ---------------------------------------------------------------------------
