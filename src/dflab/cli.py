@@ -48,6 +48,22 @@ def _dump(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _int(value, what):
+    """value as an int, or InvalidInput naming the job field."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InvalidInput("%s must be an integer, not %r" % (what, value)) \
+            from None
+
+
+def _list(value, what):
+    """value as a tuple, or InvalidInput unless it is an array."""
+    if not isinstance(value, (list, tuple)):
+        raise InvalidInput("%s must be a list, not %r" % (what, value))
+    return tuple(value)
+
+
 def build_variety(obj):
     if not isinstance(obj, dict):
         raise InvalidInput("variety must be an object")
@@ -55,13 +71,17 @@ def build_variety(obj):
     if kind == "polytope":
         if "vertices" not in obj:
             raise InvalidInput("polytope variety needs vertices")
-        verts = [tuple(v) for v in obj["vertices"]]
-        chart = tuple(obj["chart_vertex"]) if "chart_vertex" in obj else None
+        verts = [_list(v, "vertex")
+                 for v in _list(obj["vertices"], "vertices")]
+        chart = _list(obj["chart_vertex"], "chart_vertex") \
+            if "chart_vertex" in obj else None
         return make_variety(verts, chart)
     if kind == "projective_space":
-        return projective_space(int(obj.get("n", 1)), int(obj.get("d", 1)))
+        return projective_space(_int(obj.get("n", 1), "n"),
+                                _int(obj.get("d", 1), "d"))
     if kind == "box":
-        return box(obj.get("sides", [1]))
+        sides = _list(obj.get("sides", [1]), "sides")
+        return box([_int(s, "side") for s in sides])
     if kind == "hirzebruch":
         return hirzebruch_anticanonical()
     raise InvalidInput("unknown variety type %r" % (kind,))
@@ -74,13 +94,14 @@ def build_flag(obj, variety):
     ideals_obj = obj.get("ideals")
     if not isinstance(ideals_obj, list) or not ideals_obj:
         raise InvalidInput("flag_ideal needs a nonempty ideals list")
-    if "N" in obj and int(obj["N"]) != len(ideals_obj):
+    if "N" in obj and _int(obj["N"], "N") != len(ideals_obj):
         raise InvalidInput("N disagrees with the number of ideals")
     nvars = variety.dim if mode == "chart" else len(variety.polytope.facets)
     chain = []
     for entry in ideals_obj:
         gens = entry.get("gens", []) if isinstance(entry, dict) else entry
-        chain.append(MonomialIdeal.make(nvars, [tuple(g) for g in gens]))
+        chain.append(MonomialIdeal.make(
+            nvars, [_list(g, "generator") for g in _list(gens, "gens")]))
     return validate_flag_ideal(
         chain, mode=mode, variety=variety if mode == "cox" else None)
 
@@ -88,12 +109,15 @@ def build_flag(obj, variety):
 def _fit_options(job):
     kwargs = {}
     if "K_range" in job:
-        lo, hi = job["K_range"]
-        kwargs["window"] = (int(lo), int(hi))
+        window = _list(job["K_range"], "K_range")
+        if len(window) != 2:
+            raise InvalidInput("K_range must be [k_min, k_max], not %r"
+                               % (job["K_range"],))
+        kwargs["window"] = tuple(_int(k, "K_range entry") for k in window)
     if "K_cap" in job:
-        kwargs["cap"] = int(job["K_cap"])
+        kwargs["cap"] = _int(job["K_cap"], "K_cap")
     if "guard" in job:
-        kwargs["guard"] = int(job["guard"])
+        kwargs["guard"] = _int(job["guard"], "guard")
     return FitOptions(**kwargs)
 
 
@@ -137,7 +161,7 @@ def _write_atomic(path, text):
 def compute_envelope(job):
     variety = build_variety(job.get("variety", {}))
     flag = build_flag(job.get("flag_ideal", {}), variety)
-    r = int(job.get("r", 1))
+    r = _int(job.get("r", 1), "r")
     if r < 1:
         raise InvalidInput("r must be a positive integer")
     pipeline = job.get("pipeline", "both")
@@ -319,10 +343,10 @@ def _resolve_workers(args, job):
     if args.workers:
         return args.workers
     if "workers" in job:
-        return int(job["workers"])
+        return _int(job["workers"], "workers")
     env = os.environ.get("DFLAB_WORKERS")
     if env:
-        return int(env)
+        return _int(env, "DFLAB_WORKERS")
     return 1
 
 

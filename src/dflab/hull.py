@@ -6,7 +6,9 @@ read from those facets: a set of affine rank m is first projected onto m
 coordinates on which that rank survives (an affine isomorphism on its
 affine hull, integer points staying integer), its vertices are the points
 whose facet normals have rank m, and triangulations cone the facets from
-the lexicographically least point.  All answers are exact.
+the lexicographically least point.  Lattice volumes on a hyperplane are
+read after dropping the coordinate of one nonzero normal entry.  All
+answers are exact.
 """
 
 from __future__ import annotations
@@ -17,15 +19,7 @@ from itertools import combinations
 from math import factorial
 
 from .errors import InvalidInput
-from .intlinalg import (
-    det,
-    dot,
-    hyperplane_normal,
-    kernel_basis,
-    rank,
-    rref,
-    solve_unique,
-)
+from .intlinalg import det, dot, hyperplane_normal, rank, rref, solve_unique
 
 
 @dataclass(frozen=True)
@@ -185,23 +179,21 @@ def lattice_volume(points, normal):
     """Lattice-normalized volume of conv(points), an integer, for lattice
     points on an affine hyperplane with primitive normal.
 
-    The hyperplane is a translate of the sublattice normal-perp; a basis of
-    that sublattice gives integer coordinates in which the normalized
-    volume is (d-1)! times the Euclidean volume.
+    Dropping coordinate i, the last nonzero entry of the normal, maps the
+    lattice of the hyperplane onto a sublattice of Z^(d-1) of index
+    |normal[i]| (the normal is primitive), so the normalized volume is
+    (d-1)! times the Euclidean volume of the projection over |normal[i]|.
     """
+    c = dot(normal, points[0])
+    for p in points:
+        if dot(normal, p) != c:
+            raise InvalidInput(
+                "point %r outside the lattice span of the hyperplane" % (p,))
     d = len(normal)
     if d == 1:
         return 1
-    cols = [list(b) for b in kernel_basis(normal)]
-    p0 = points[0]
-    flat = []
-    for p in points:
-        sol = solve_unique(cols, [x - y for x, y in zip(p, p0)])
-        if sol is None:
-            raise InvalidInput(
-                "point %r outside the lattice span of the hyperplane" % (p,))
-        assert all(x.denominator == 1 for x in sol)
-        flat.append(tuple(int(x) for x in sol))
-    norm = volume_of_points(flat, d - 1) * factorial(d - 1)
+    i = max(j for j in range(d) if normal[j] != 0)
+    flat = [p[:i] + p[i + 1:] for p in points]
+    norm = volume_of_points(flat, d - 1) * factorial(d - 1) / abs(normal[i])
     assert norm.denominator == 1
     return int(norm)

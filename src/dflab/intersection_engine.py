@@ -72,10 +72,12 @@ class DecompositionReport:
 def lower_hull_integral(variety, flag, r):
     """Integral of the support function phi over the chart image of rP.
 
-    The chart polytope splits into linearity regions, one per compact facet
-    of the Newton polyhedron plus the region where phi vanishes.  On each
-    region the integrand is affine, so a simplex contributes its volume
-    times the mean of the vertex values.
+    phi vanishes off the projections of the compact facets of the Newton
+    polyhedron, and over the projection of a facet F it is F's affine
+    function.  F's normal has a positive t-entry, so dropping t maps F
+    injectively, and phi takes the t-coordinate of each vertex of F at its
+    image.  A simplex of the projected facet therefore contributes its
+    volume times the mean t of its vertices.
     """
     np_ = newton_polyhedron(flag)
     if not np_.facets:
@@ -92,16 +94,11 @@ def lower_hull_integral(variety, flag, r):
                     "at exponent r=%d" % (tuple(proj), r))
 
     total = Fraction(0)
-    for f in list(np_.facets) + [None]:
-        verts = _region_vertices(variety, np_, f, r)
-        if len(verts) < n + 1:
-            continue
-        for simp in triangulate_points(verts, n):
-            vol = simplex_volume(simp)
-            if vol == 0:
-                continue
-            mean = sum(_affine_value(np_, f, y) for y in simp) / (n + 1)
-            total += vol * mean
+    for f in np_.facets:
+        height = {p[:-1]: p[-1] for p in f.vertices}
+        for simp in triangulate_points(list(height), n):
+            total += simplex_volume(simp) * Fraction(
+                sum(height[y] for y in simp), n + 1)
     return total
 
 
@@ -113,13 +110,6 @@ def _inside_chart(variety, y, r):
     return all(dot(a, u) >= r * c for a, c in variety.polytope.facets)
 
 
-def _affine_value(np_, facet, y):
-    if facet is None:
-        return Fraction(0)
-    w = facet.normal
-    return Fraction(facet.order - dot(w[:-1], y), w[-1])
-
-
 def _region_vertices(variety, np_, facet, r):
     """Vertices of the closed region of the chart polytope where the given
     facet's affine function realizes phi (None = the region where phi = 0).
@@ -128,6 +118,9 @@ def _region_vertices(variety, np_, facet, r):
     inequalities plus, for each other facet w', (value of this facet) >=
     (value of w'), plus value >= 0.  Vertices are enumerated exactly by
     intersecting n of the bounding hyperplanes at a time.
+
+    The library does not call it: the regions are the half-space reference
+    that tests integrate phi over to check lower_hull_integral.
     """
     n = variety.dim
     # half-spaces as (coeffs, const) meaning <coeffs, y> >= const
@@ -158,7 +151,9 @@ def _region_vertices(variety, np_, facet, r):
 
 
 def _polyhedron_vertices(halves, n):
-    """All vertices of {y : <a, y> >= c for (a, c) in halves}, assumed bounded."""
+    """All vertices of {y : <a, y> >= c for (a, c) in halves}, assumed bounded.
+
+    Only _region_vertices, the reference of the tests, calls it."""
     out = set()
     for sub in combinations(range(len(halves)), n):
         cols = [[Fraction(halves[i][0][j]) for i in sub] for j in range(n)]

@@ -105,49 +105,6 @@ def solve_unique(columns, b):
     return tuple(sol)
 
 
-def _egcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def kernel_basis(w):
-    """Integer basis of the lattice {v : <v, w> = 0} for primitive w.
-
-    Built from unimodular row operations on the identity, so the returned
-    vectors really generate the full kernel lattice, not a finite-index
-    sublattice.
-    """
-    d = len(w)
-    rows = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    c = [int(x) for x in w]
-    while True:
-        nz = [i for i in range(d) if c[i] != 0]
-        if len(nz) <= 1:
-            break
-        i, j = nz[0], nz[1]
-        g, x, y = _egcd(c[i], c[j])
-        ri = [x * a + y * b for a, b in zip(rows[i], rows[j])]
-        rj = [-(c[j] // g) * a + (c[i] // g) * b for a, b in zip(rows[i], rows[j])]
-        rows[i], rows[j] = ri, rj
-        c[i], c[j] = g, 0
-    nz = [i for i in range(d) if c[i] != 0]
-    if not nz:
-        raise ValueError("zero vector")
-    k = nz[0]
-    if abs(c[k]) != 1:
-        raise ValueError("vector must be primitive")
-    return [tuple(rows[i]) for i in range(d) if i != k]
-
-
 def nullspace_primitive(rows, dim):
     """Primitive integer generator of a one-dimensional rational nullspace.
 

@@ -11,7 +11,7 @@ computation is normalized against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from math import factorial
 
 from .errors import (
@@ -23,13 +23,7 @@ from .errors import (
     PointOutsidePolytope,
 )
 from .hull import _vertices, facets_of_points, lattice_volume, volume_of_points
-from .intlinalg import (
-    det,
-    dot,
-    integer_inverse,
-    nullspace_primitive,
-    rank,
-)
+from .intlinalg import det, dot, integer_inverse, rank
 
 
 @dataclass(frozen=True)
@@ -99,20 +93,12 @@ class PolarizedToricVariety:
         return tuple(out)
 
     def chart_facet_indices(self):
-        """Facet index tight at chart_vertex and dual to each edge direction."""
-        tight = [i for i, (a, c) in enumerate(self.polytope.facets)
-                 if dot(a, self.chart_vertex) == c]
-        out = []
-        for j in range(self.dim):
-            # the facet dual to edge j vanishes on every other edge direction
-            match = [i for i in tight
-                     if all(dot(self.polytope.facets[i][0],
-                                self.edge_directions[m]) == 0
-                            for m in range(self.dim) if m != j)]
-            if len(match) != 1:
-                raise InvalidInput("chart facets are not in bijection with edges")
-            out.append(match[0])
-        return tuple(out)
+        """Facet index tight at chart_vertex and dual to each edge direction.
+
+        Row j of chart_matrix is that facet's normal: it is 1 on edge j and
+        0 on the others, and the rows are the tight normals."""
+        normals = [a for a, c in self.polytope.facets]
+        return tuple(normals.index(row) for row in self.chart_matrix)
 
 
 def _lattice_points(poly, k):
@@ -135,38 +121,19 @@ def _intersection_numbers(poly):
     return int(ln), -boundary
 
 
-def _edge_directions(poly, v0):
-    """Primitive generators of the edges of P at the vertex v0."""
-    n = poly.dim
-    tight = [a for a, c in poly.facets if dot(a, v0) == c]
-    others = [v for v in poly.vertices if v != v0]
-    dirs = set()
-    if n == 1:
-        w = others[0][0] - v0[0]
-        return ((1 if w > 0 else -1,),)
-    for sub in combinations(range(len(tight)), n - 1):
-        rows = [list(tight[i]) for i in sub]
-        d = nullspace_primitive(rows, n)
-        if d is None:
-            continue
-        for cand in (d, tuple(-x for x in d)):
-            if all(dot(a, cand) >= 0 for a in tight) and \
-                    any(dot(a, cand) > 0 for a in tight):
-                # feasible direction along the cone's edge
-                dirs.add(cand)
-    # keep only genuine edge directions: those moving along an edge of P;
-    # descending order makes the frame at the origin of the stock
-    # polytopes the identity
-    out = []
-    for d in sorted(dirs, reverse=True):
-        zero = [a for a in tight if dot(a, d) == 0]
-        if len(zero) >= n - 1 and _spans_hyperplane(zero, n):
-            out.append(d)
-    return tuple(out)
+def _edge_directions(poly, v):
+    """Primitive edge generators of P at the vertex v, in descending order,
+    or None when v is not smooth.
 
-
-def _spans_hyperplane(normals, n):
-    return rank([list(a) for a in normals]) == n - 1
+    v is smooth exactly when it lies on n facets whose normal matrix A has
+    determinant +-1; its edges are then the columns of A^-1, each of which
+    vanishes on all tight normals but one.  Descending order makes the frame
+    at the origin of the stock polytopes the identity.
+    """
+    tight = [a for a, c in poly.facets if dot(a, v) == c]
+    if len(tight) != poly.dim or abs(det(tight)) != 1:
+        return None
+    return tuple(sorted(zip(*integer_inverse(tight)), reverse=True))
 
 
 def make_variety(vertices, chart_vertex=None):
@@ -180,10 +147,14 @@ def make_variety(vertices, chart_vertex=None):
     pts = []
     for v in vertices:
         t = tuple(v)
-        for x in t:
-            if int(x) != x:
-                raise NonLatticeVertex("vertex %r has a non-integer entry" % (t,))
-        pts.append(tuple(int(x) for x in t))
+        try:
+            p = tuple(int(x) for x in t)
+        except (TypeError, ValueError):
+            raise InvalidInput("vertex %r has a non-numeric entry" % (t,)) \
+                from None
+        if p != t:
+            raise NonLatticeVertex("vertex %r has a non-integer entry" % (t,))
+        pts.append(p)
     if not pts:
         raise InvalidInput("empty vertex list")
     n = len(pts[0])
@@ -202,16 +173,20 @@ def make_variety(vertices, chart_vertex=None):
     facets = tuple((f.normal, f.offset) for f in hull)
     poly = LatticePolytope(dim=n, vertices=tuple(uniq), facets=facets)
 
-    v0 = tuple(int(x) for x in chart_vertex) if chart_vertex is not None else uniq[0]
+    try:
+        v0 = tuple(int(x) for x in chart_vertex) if chart_vertex is not None else uniq[0]
+    except (TypeError, ValueError):
+        raise InvalidInput(
+            "chart vertex %r is not a vertex" % (chart_vertex,)) from None
     if v0 not in uniq:
         raise InvalidInput("chart vertex %r is not a vertex" % (v0,))
     dirs = _edge_directions(poly, v0)
-    if len(dirs) != n or abs(det([list(d) for d in dirs])) != 1:
+    if dirs is None:
         raise NonUnimodularChartVertex(
             "cone at %r is not a smooth chart" % (v0,))
     mat = [[dirs[j][i] for j in range(n)] for i in range(n)]  # columns = dirs
     u = integer_inverse(mat)
-    smooth = all(_vertex_is_smooth(poly, v) for v in poly.vertices)
+    smooth = all(_edge_directions(poly, v) is not None for v in poly.vertices)
     return PolarizedToricVariety(
         polytope=poly,
         chart_vertex=v0,
@@ -219,13 +194,6 @@ def make_variety(vertices, chart_vertex=None):
         chart_matrix=u,
         smooth=smooth,
     )
-
-
-def _vertex_is_smooth(poly, v):
-    dirs = _edge_directions(poly, v)
-    if len(dirs) != poly.dim:
-        return False
-    return abs(det([list(d) for d in dirs])) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,11 @@ class MonomialIdeal:
 
     @staticmethod
     def make(nvars, gens):
-        gens = [tuple(int(x) for x in g) for g in gens]
+        try:
+            gens = [tuple(int(x) for x in g) for g in gens]
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(
+                "generator entries must be integers: %s" % exc) from None
         for g in gens:
             if len(g) != nvars:
                 raise InvalidInput("generator %r has wrong arity" % (g,))

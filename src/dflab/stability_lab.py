@@ -42,13 +42,18 @@ class SearchBounds:
 
     @staticmethod
     def from_json(obj):
-        return SearchBounds(
-            n_max=int(obj["N_max"]),
-            d_max=int(obj["d_max"]),
-            g_max=int(obj["g_max"]),
-            r_list=tuple(int(r) for r in obj["r_list"]),
-            mode=obj.get("mode", "chart"),
-        )
+        try:
+            return SearchBounds(
+                n_max=int(obj["N_max"]),
+                d_max=int(obj["d_max"]),
+                g_max=int(obj["g_max"]),
+                r_list=tuple(int(r) for r in obj["r_list"]),
+                mode=obj.get("mode", "chart"),
+            )
+        except KeyError as exc:
+            raise InvalidInput("search bounds need %s" % exc) from None
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput("malformed search bounds: %s" % exc) from None
 
     def to_json_dict(self):
         return {

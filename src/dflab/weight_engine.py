@@ -21,6 +21,7 @@ from math import factorial
 from .errors import (
     ConsistencyError,
     ExponentTooSmall,
+    InvalidInput,
     NotStabilized,
     UnsupportedMode,
 )
@@ -260,6 +261,18 @@ class FitOptions:
     window: tuple = None   # inclusive (k_min, k_max); default (1, n + 6)
     guard: int = 2
     cap: int = 40
+
+    def __post_init__(self):
+        if self.window is not None:
+            lo, hi = self.window
+            if lo < 1 or hi < lo:
+                raise InvalidInput(
+                    "fit window %r must satisfy 1 <= k_min <= k_max"
+                    % (tuple(self.window),))
+        if self.guard < 1:
+            # with no guard window the fit checks no sample past its nodes
+            raise InvalidInput(
+                "guard must be at least 1, not %r" % (self.guard,))
 
     def window_for(self, n):
         """The sample window used in dimension n."""

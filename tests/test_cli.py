@@ -96,6 +96,41 @@ def test_compute_rejects_bad_jobs(tmp_path, capsys, mangle, name):
     assert "invalid input" in err
 
 
+def _with(job, **fields):
+    out = json.loads(json.dumps(job))
+    out.update(fields)
+    return out
+
+
+# (x^3, y^3) on P^2(2) at r = 1 is a quasi-polynomial of period 3; with no
+# guard window the fit accepted it and reported DF = 7
+QUASI_JOB = {"variety": {"type": "projective_space", "n": 2, "d": 2},
+             "flag_ideal": {"ideals": [{"gens": [[3, 0], [0, 3]]}]}, "r": 1}
+
+
+@pytest.mark.parametrize("job", [
+    _with(COMPUTE_JOB, K_range=[0, 8]),
+    _with(COMPUTE_JOB, K_range=[-3, 5]),
+    _with(COMPUTE_JOB, K_range=[6, 2]),
+    _with(COMPUTE_JOB, guard=0),
+    _with(QUASI_JOB, guard=0),
+], ids=["starts_at_0", "starts_below_0", "ends_before_start", "guard_0",
+        "guard_0_quasi"])
+def test_compute_rejects_bad_fit_window(tmp_path, capsys, job):
+    code, out, err = run(capsys, ["compute", "--job", write_job(tmp_path, job)])
+    assert code == 1
+    assert out == ""
+    assert "invalid input" in err
+    assert "Traceback" not in err
+
+
+def test_quasi_job_with_guard_reports_the_period(tmp_path, capsys):
+    code, _, err = run(capsys, ["compute", "--job",
+                                write_job(tmp_path, QUASI_JOB)])
+    assert code == 2
+    assert "period 3" in err
+
+
 def test_compute_rejects_malformed_json(tmp_path, capsys):
     path = tmp_path / "job.json"
     path.write_text("{not json")
@@ -313,3 +348,28 @@ def test_worker_resolution_precedence(monkeypatch):
     args = Args()
     args.workers = 5
     assert cli._resolve_workers(args, {"workers": 2}) == 5
+
+
+# ---------------------------------------------------------------------------
+# malformed fields
+
+@pytest.mark.parametrize("command, job", [
+    ("compute", _with(COMPUTE_JOB, r="a")),
+    ("compute", _with(COMPUTE_JOB, variety={"type": "projective_space",
+                                             "n": "x"})),
+    ("compute", _with(COMPUTE_JOB, variety={"type": "box", "sides": 3})),
+    ("compute", _with(COMPUTE_JOB, variety={"type": "polytope",
+                                             "vertices": [[0], ["a"]]})),
+    ("compute", _with(COMPUTE_JOB, flag_ideal={"ideals": [{"gens": [["a"]]}]})),
+    ("compute", _with(COMPUTE_JOB, K_range=[1])),
+    ("search", _with(SEARCH_JOB, workers="two")),
+    ("search", _with(SEARCH_JOB, bounds={"N_max": 1, "d_max": 2,
+                                         "r_list": [1]})),
+], ids=["r", "variety_n", "sides", "vertex_entry", "generator_entry",
+        "K_range_length", "workers", "bounds_without_g_max"])
+def test_malformed_job_fields_exit_one(tmp_path, capsys, command, job):
+    code, out, err = run(capsys, [command, "--job", write_job(tmp_path, job)])
+    assert code == 1
+    assert out == ""
+    assert "invalid input" in err
+    assert "Traceback" not in err

@@ -1,9 +1,19 @@
 """Tests for the exact convex-hull primitives."""
 
+from math import factorial
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dflab.hull import extreme_points, point_in_convex_hull, volume_of_points
+from dflab.errors import InvalidInput
+from dflab.hull import (
+    extreme_points,
+    lattice_volume,
+    point_in_convex_hull,
+    volume_of_points,
+)
+from dflab.intlinalg import dot, integer_inverse
 
 coord = st.integers(-3, 3)
 
@@ -49,3 +59,57 @@ def test_extreme_points_match_caratheodory_reference(case):
     verts = extreme_points(pts)
     assert verts == expected
     assert volume_of_points(pts, d) == volume_of_points(verts, d)
+
+
+# ---------------------------------------------------------------------------
+# lattice-normalized volume on a hyperplane
+
+def test_lattice_volume_divides_by_the_dropped_normal_entry():
+    # x + 2y + 3z = 6: dropping z leaves a triangle of area 9, and the
+    # plane's lattice maps onto a sublattice of index 3
+    assert lattice_volume([(6, 0, 0), (0, 3, 0), (0, 0, 2)], (1, 2, 3)) == 6
+
+
+def test_lattice_volume_rejects_points_off_the_hyperplane():
+    with pytest.raises(InvalidInput):
+        lattice_volume([(0, 0, 0), (1, 0, 0), (0, 1, 1)], (0, 0, 1))
+
+
+@st.composite
+def unimodular_moves(draw, d):
+    """A random unimodular d x d integer matrix, as rows."""
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(2, 8))):
+        i, j = draw(st.permutations(range(d)))[:2]
+        k = draw(st.sampled_from([1, -1, 2, -2]))
+        rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+        if draw(st.booleans()):
+            rows[i], rows[j] = [-x for x in rows[j]], rows[i]
+    return rows
+
+
+@st.composite
+def moved_hyperplanes(draw):
+    """(points, normal, moved points, moved normal): lattice points on the
+    hyperplane x_d = c of R^d, d = 2..4, and their image under a random
+    unimodular map U, with normal e_d carried to e_d U^-1."""
+    d = draw(st.integers(2, 4))
+    c = draw(st.integers(-2, 2))
+    base = st.tuples(*[st.integers(-2, 2)] * (d - 1))
+    pts = [p + (c,) for p in draw(st.lists(base, min_size=d, max_size=6))]
+    normal = tuple(int(i == d - 1) for i in range(d))
+    u = draw(unimodular_moves(d))
+    inv = integer_inverse(u)
+    moved = [tuple(dot(row, p) for row in u) for p in pts]
+    moved_normal = tuple(dot(normal, col) for col in zip(*inv))
+    return pts, normal, moved, moved_normal
+
+
+@settings(max_examples=100, deadline=None)
+@given(moved_hyperplanes())
+def test_lattice_volume_is_unimodular_invariant(case):
+    pts, normal, moved, moved_normal = case
+    assert lattice_volume(moved, moved_normal) == \
+        lattice_volume(pts, normal) == \
+        volume_of_points([p[:-1] for p in pts], len(normal) - 1) * \
+        factorial(len(normal) - 1)

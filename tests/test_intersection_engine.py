@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dflab.errors import ExponentTooSmall, UnsupportedMode
-from dflab.hull import volume_of_points
+from dflab.hull import simplex_volume, triangulate_points, volume_of_points
 from dflab.intersection_engine import (
+    _region_vertices,
     df_intersection,
     exceptional_data,
     face_degree,
@@ -16,9 +19,15 @@ from dflab.intersection_engine import (
 from dflab.lattice_geometry import (
     box,
     hirzebruch_anticanonical,
+    make_variety,
     projective_space,
 )
-from dflab.monomial_algebra import MonomialIdeal, validate_flag_ideal
+from dflab.monomial_algebra import (
+    MonomialIdeal,
+    newton_polyhedron,
+    phi_value,
+    validate_flag_ideal,
+)
 
 
 def flag_of(gens_per_level, nvars, mode="chart", variety=None):
@@ -52,6 +61,86 @@ def test_exponent_guard_fires_on_short_sections():
         lower_hull_integral(v, flag, 1)
     # the guard allows the boundary case
     assert lower_hull_integral(v, flag, 2) == 1
+
+
+# lower_hull_integral reads phi from the compact facets' projections; the
+# reference integrates phi_value over every linearity region cut out by
+# half-spaces (_region_vertices: one region per compact facet plus the
+# zero region), and guards the exponent by lattice-point membership.
+
+F1_VERTICES = hirzebruch_anticanonical().polytope.vertices
+INTEGRAL_VARIETIES = [
+    projective_space(1, 2),
+    projective_space(2, 2),
+    box((1, 2)),
+    make_variety(F1_VERTICES, chart_vertex=(3, 2)),
+    make_variety(F1_VERTICES, chart_vertex=(0, 2)),
+    projective_space(3, 1),
+]
+
+
+def reference_integral(variety, flag, r):
+    np_ = newton_polyhedron(flag)
+    sections = set(variety.lattice_points(r))
+    for p in np_.vertices:
+        if variety.point_from_chart(p[:-1], r) not in sections:
+            raise ExponentTooSmall(p)
+    n = variety.dim
+    total = Fraction(0)
+    for f in list(np_.facets) + [None]:
+        verts = _region_vertices(variety, np_, f, r)
+        if len(verts) < n + 1:
+            continue
+        for simp in triangulate_points(verts, n):
+            total += simplex_volume(simp) * \
+                sum(phi_value(np_, y) for y in simp) / (n + 1)
+    return total
+
+
+@st.composite
+def point_chains(draw):
+    """(variety, flag, r): one- or two-step point-supported chains whose
+    pure powers reach near the edge of the chart image of rP, and past it
+    when over is drawn."""
+    variety = draw(st.sampled_from(INTEGRAL_VARIETIES))
+    r = draw(st.integers(1, 3))
+    n = variety.dim
+    sections = set(variety.lattice_points(r))
+    axes = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    reach = [max(t for t in range(4 * r) if variety.point_from_chart(
+        [t * x for x in e], r) in sections) for e in axes]
+    # pure powers make every ideal of the chain point supported; low
+    # monomials under powers of degree >= 2 break the hull into facets
+    over = draw(st.booleans())
+    gens = [tuple((draw(st.integers(max(2, m - 1), max(2, m))) + over) * x
+                  for x in e) for e, m in zip(axes, reach)]
+    low = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    levels = [gens + draw(st.lists(low, max_size=2))]
+    if draw(st.booleans()):
+        step = st.tuples(*[st.integers(0, 1)] * n)
+        levels.append(levels[0] + draw(st.lists(step, min_size=1, max_size=2)))
+    return variety, flag_of(levels, n), r
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_chains())
+# two facets over a chart whose matrix is not the identity
+@example((INTEGRAL_VARIETIES[3],
+          flag_of([[(3, 0), (0, 2)], [(1, 0), (0, 1)]], 2), 2))
+# (x^4) + (x) t + t^2 breaks at (1, 1)
+@example((INTEGRAL_VARIETIES[0], flag_of([[(4,)], [(1,)]], 1), 2))
+# two facets on P^3: xy lies below the plane of the pure cubes
+@example((INTEGRAL_VARIETIES[5],
+          flag_of([[(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 0)]], 3), 3))
+def test_lower_hull_integral_matches_region_reference(case):
+    variety, flag, r = case
+    try:
+        expected = reference_integral(variety, flag, r)
+    except ExponentTooSmall:
+        with pytest.raises(ExponentTooSmall):
+            lower_hull_integral(variety, flag, r)
+        return
+    assert lower_hull_integral(variety, flag, r) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,17 @@ def test_quadrilateral_with_singular_far_vertex():
     assert not v.smooth
 
 
+def test_square_pyramid_apex_lies_on_four_facets():
+    # the base vertices are smooth, but the apex lies on four facets, so
+    # no three of its facet normals frame it
+    pyramid = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
+    v = make_variety(pyramid)
+    assert v.chart_vertex == (0, 0, 0)
+    assert v.smooth is False
+    with pytest.raises(NonUnimodularChartVertex):
+        make_variety(pyramid, (0, 0, 1))
+
+
 def test_ehrhart_counts():
     assert projective_space(2, 2).ehrhart_count(1) == 6
     assert projective_space(1, 2).ehrhart_count(3) == 7
