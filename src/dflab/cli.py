@@ -49,12 +49,15 @@ def _dump(obj):
 
 
 def _int(value, what):
-    """value as an int, or InvalidInput naming the job field."""
+    """value as an int, or InvalidInput naming the job field; a value that
+    int() would change, such as 1.9 or "2", is not an integer."""
     try:
-        return int(value)
+        out = int(value)
     except (TypeError, ValueError):
-        raise InvalidInput("%s must be an integer, not %r" % (what, value)) \
-            from None
+        out = None
+    if out is None or out != value:
+        raise InvalidInput("%s must be an integer, not %r" % (what, value))
+    return out
 
 
 def _list(value, what):
@@ -346,7 +349,11 @@ def _resolve_workers(args, job):
         return _int(job["workers"], "workers")
     env = os.environ.get("DFLAB_WORKERS")
     if env:
-        return _int(env, "DFLAB_WORKERS")
+        try:
+            return int(env)
+        except ValueError:
+            raise InvalidInput(
+                "DFLAB_WORKERS must be an integer, not %r" % (env,)) from None
     return 1
 
 
@@ -367,8 +374,17 @@ def cmd_search(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are invalid input (exit 1), not
+    argparse's exit 2, which the CLI uses for undecided results."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InvalidInput(message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dflab",
         description="exact stability invariants of flag ideals on toric varieties")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -391,8 +407,8 @@ def main(argv=None):
     p_search.add_argument("--workers", type=int, help="parallel processes")
     p_search.set_defaults(func=cmd_search)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except InvalidInput as exc:
         sys.stderr.write("invalid input: %s\n" % exc)

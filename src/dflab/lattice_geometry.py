@@ -102,12 +102,27 @@ class PolarizedToricVariety:
 
 
 def _lattice_points(poly, k):
-    n = poly.dim
-    axes = [range(min(v[i] for v in poly.vertices) * k,
-                  max(v[i] for v in poly.vertices) * k + 1) for i in range(n)]
-    # product yields the box in lexicographic, hence sorted, order
-    return [u for u in product(*axes)
-            if all(dot(a, u) >= k * c for a, c in poly.facets)]
+    """Lattice points of kP in lexicographic order, fibre by fibre.
+
+    The box over the first n-1 coordinates is walked in lexicographic
+    order; over each prefix p, a facet <a, u> >= k c bounds the last
+    coordinate by a_n u_n >= k c - <a', p>, from below when a_n > 0 and
+    from above when a_n < 0, and passes or empties the fibre when a_n = 0.
+    """
+    lows = [min(v[i] for v in poly.vertices) * k for i in range(poly.dim)]
+    highs = [max(v[i] for v in poly.vertices) * k for i in range(poly.dim)]
+    below = [(a[:-1], k * c, a[-1]) for a, c in poly.facets if a[-1] > 0]
+    above = [(a[:-1], k * c, a[-1]) for a, c in poly.facets if a[-1] < 0]
+    flat = [(a[:-1], k * c) for a, c in poly.facets if a[-1] == 0]
+    out = []
+    for p in product(*map(range, lows[:-1], [h + 1 for h in highs[:-1]])):
+        if any(dot(a, p) < c for a, c in flat):
+            continue
+        # ceil(m / t) == -(-m // t) for t > 0; floor(m / t) == m // t
+        lo = max([lows[-1]] + [-((dot(a, p) - c) // t) for a, c, t in below])
+        hi = min([highs[-1]] + [(c - dot(a, p)) // t for a, c, t in above])
+        out += [p + (x,) for x in range(lo, hi + 1)]
+    return out
 
 
 def _intersection_numbers(poly):

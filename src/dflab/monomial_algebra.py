@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 from .errors import (
     ChainViolation,
@@ -45,11 +44,18 @@ class MonomialIdeal:
 
     @staticmethod
     def make(nvars, gens):
-        try:
-            gens = [tuple(int(x) for x in g) for g in gens]
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput(
-                "generator entries must be integers: %s" % exc) from None
+        ints = []
+        for g in gens:
+            try:
+                g = tuple(g)
+                p = tuple(int(x) for x in g)
+            except (TypeError, ValueError) as exc:
+                raise InvalidInput(
+                    "generator entries must be integers: %s" % exc) from None
+            if p != g:
+                raise InvalidInput("generator %r has a non-integer entry" % (g,))
+            ints.append(p)
+        gens = ints
         for g in gens:
             if len(g) != nvars:
                 raise InvalidInput("generator %r has wrong arity" % (g,))
@@ -214,7 +220,9 @@ def _chain_rows(flag, k):
 
     The piece at level j is the sum over (j_1, ..., j_k) with sum <= j of
     I_{j_1} ... I_{j_k}, where I_j is the unit ideal for j >= N.  Rows are
-    cumulative in j by construction.
+    cumulative in j by construction.  Only the per-point reference
+    (t_degree, graded_piece, level_of_membership) builds rows; counting
+    steps LevelStepper tables instead.
     """
     key = _chain_key(flag)
     per = _ROWS_CACHE.setdefault(key, {})
@@ -265,20 +273,125 @@ def _chart_functionals(variety, flag):
             for chart in variety.maximal_charts()]
 
 
-def _prefix_min(table, shape):
-    """In place: each cell of the row-major box becomes the minimum over
-    the cells below it in every coordinate."""
-    stride = shape[-1]
-    for start in range(0, len(table), stride):
-        table[start:start + stride] = accumulate(
-            table[start:start + stride], min)
-    for length in reversed(shape[:-1]):
-        block = stride * length
-        for start in range(0, len(table), block):
-            for off in range(start + stride, start + block, stride):
-                table[off:off + stride] = map(
-                    min, table[off - stride:off], table[off:off + stride])
-        stride = block
+def _strides(shape):
+    """Row-major strides of a box with the given side lengths."""
+    strides = [1] * len(shape)
+    for i in range(len(shape) - 2, -1, -1):
+        strides[i] = strides[i + 1] * shape[i + 1]
+    return strides
+
+
+def _pad(table, shape, new_shape):
+    """The row-major table on the box shape, extended to the box new_shape
+    by repeating its last cell along every axis."""
+    inner = 1
+    for i in range(len(shape) - 1, -1, -1):
+        chunk = shape[i] * inner
+        extra = new_shape[i] - shape[i]
+        out = []
+        for start in range(0, len(table), chunk):
+            out += table[start:start + chunk]
+            out += table[start + chunk - inner:start + chunk] * extra
+        table = out
+        inner *= new_shape[i]
+    return table
+
+
+def _chart_moves(flag, idxs):
+    """Pairs (g, j): a generator g of I_j projected onto the chart variables
+    idxs, leaving out each pair that an earlier one reaches at a level no
+    higher (the chain increases, so earlier means lower)."""
+    moves = []
+    for j, ideal in enumerate(flag.chain):
+        for g in minimalize(tuple(g[i] for i in idxs) for g in ideal.gens):
+            if not any(all(x >= y for x, y in zip(g, h)) for h, _ in moves):
+                moves.append((g, j))
+    return moves
+
+
+@dataclass
+class _ChartTable:
+    funcs: tuple     # exponent i of u in sP is <funcs[i], u> - s * offs[i]
+    offs: tuple
+    side: tuple      # e_i: the table of J^k lives on the box of side k * e_i
+    moves: list      # _chart_moves on this chart
+    shape: list
+    table: list      # row-major levels over the box of side lengths shape
+
+
+class LevelStepper:
+    """Per-chart level tables of the non-trivial flag's powers J^k for
+    k = 0, 1, 2, ..., each built from the one before.
+
+    Localization is a ring map, so on a chart the level function of J^k is
+    the min-plus convolution of that of J^(k-1) with that of J.  Levels do
+    not increase with the exponent, so the best split of y puts exactly a
+    projected generator g of I_j (or nothing, at level N) on the J side:
+
+        t_k(y) = min(t_(k-1)(y) + N, min over (g, j) of t_(k-1)(y - g) + j)
+
+    with t_0 = 0.  Each generator term is one shifted row-wise min over
+    the flat table.  The table of J^k lives on the box of side k * e_i with
+    e_i = max(r * w_i, D_i): w_i is the chart functional's reach over the
+    vertices, so the box covers the chart exponents of krP, and D_i is the
+    largest projected generator exponent.  Generators of J^(k-1) are at
+    most (k-1) * D, so t_(k-1) is constant along axis i past
+    (k-1) * D_i <= (k-1) * e_i, and padding the old table by its last cell
+    on each axis is exact.
+    """
+
+    def __init__(self, variety, flag, r):
+        self.k = 0
+        self.big_n = flag.big_n
+        verts = variety.polytope.vertices
+        self._charts = []
+        for idxs, funcs, offs in _chart_functionals(variety, flag):
+            moves = _chart_moves(flag, idxs)
+            side = tuple(
+                max([r * max(dot(a, v) - c for v in verts)]
+                    + [g[i] for g, _ in moves])
+                for i, (a, c) in enumerate(zip(funcs, offs)))
+            self._charts.append(_ChartTable(
+                funcs, offs, side, moves, [1] * len(side), [0]))
+
+    def step(self):
+        """Advance every chart's table from J^k to J^(k+1)."""
+        self.k += 1
+        for ch in self._charts:
+            shape = [self.k * e + 1 for e in ch.side]
+            old = _pad(ch.table, ch.shape, shape)
+            strides = _strides(shape)
+            last = shape[-1]
+            new = [x + self.big_n for x in old]
+            shifted = {0: old}
+            for g, j in ch.moves:
+                if j not in shifted:
+                    shifted[j] = [x + j for x in old]
+                src = shifted[j]
+                off = dot(strides, g)
+                # the rows whose cells y have y >= g off the last axis
+                rows = [0]
+                for x, m, stride in zip(g, shape[:-1], strides):
+                    rows = [row + stride * i for row in rows
+                            for i in range(x, m)]
+                for row in rows:
+                    lo, hi = row + g[-1], row + last
+                    new[lo:hi] = map(min, new[lo:hi], src[lo - off:hi - off])
+            ch.shape, ch.table = shape, new
+
+    def advance(self, k):
+        """Step up to J^k (k at least the current power) and return its
+        tables, as level_tables does."""
+        if k < self.k:
+            raise ValueError("cannot step back from J^%d to J^%d" % (self.k, k))
+        while self.k < k:
+            self.step()
+        out = []
+        for ch in self._charts:
+            strides = _strides(ch.shape)
+            weights = tuple(dot(strides, col) for col in zip(*ch.funcs))
+            out.append((weights, dot(strides, ch.offs), ch.table))
+        return out
 
 
 def level_tables(variety, flag, r, k):
@@ -287,37 +400,12 @@ def level_tables(variety, flag, r, k):
 
     Returns a list of (A, C, table) with
     g_k(u) = max over the list of table[<A, u> - k * r * C].  Each table
-    covers the box of chart exponents reached by krP: axis i runs over
-    0 .. k*r*w_i, with w_i the largest value of the chart functional over
-    the vertices.  A cell is seeded with the first row of _chain_rows
-    having a generator that projects onto it (the top row kN otherwise),
-    and a prefix minimum along every axis turns seeds into levels.  A and
-    C fold the functionals, their offsets and the row-major strides into
-    one dot product.
+    covers a box of chart exponents containing those reached by krP; A and
+    C fold the chart functionals, their offsets and the row-major strides
+    into one dot product.  The tables come from a LevelStepper stepped from
+    J^0 up to J^k; callers sampling consecutive k keep one stepper instead.
     """
-    charts = _chart_functionals(variety, flag)
-    rows = _chain_rows(flag, k)
-    scale = k * r
-    verts = variety.polytope.vertices
-    out = []
-    for idxs, funcs, offs in charts:
-        shape = [scale * max(dot(a, v) - c for v in verts) + 1
-                 for a, c in zip(funcs, offs)]
-        strides = [1] * len(shape)
-        for i in range(len(shape) - 2, -1, -1):
-            strides[i] = strides[i + 1] * shape[i + 1]
-        table = [len(rows) - 1] * (strides[0] * shape[0])
-        for j, row in enumerate(rows):
-            for g in row.gens:
-                z = [g[i] for i in idxs]
-                if all(x < m for x, m in zip(z, shape)):
-                    cell = dot(strides, z)
-                    if j < table[cell]:
-                        table[cell] = j
-        _prefix_min(table, shape)
-        weights = tuple(dot(strides, col) for col in zip(*funcs))
-        out.append((weights, dot(strides, offs), table))
-    return out
+    return LevelStepper(variety, flag, r).advance(k)
 
 
 def graded_piece(flag, k, j):

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import factorial
+from operator import add, mul
 
 from .errors import (
     ConsistencyError,
@@ -26,7 +28,12 @@ from .errors import (
     UnsupportedMode,
 )
 from .intlinalg import dot
-from .monomial_algebra import level_tables, newton_polyhedron, pure_powers
+from .monomial_algebra import (
+    LevelStepper,
+    level_tables,
+    newton_polyhedron,
+    pure_powers,
+)
 
 
 @dataclass(frozen=True)
@@ -172,26 +179,37 @@ def _poly_mul_linear(coeffs, c0):
 def weight_at(variety, flag, r, k):
     """W(k) for the stripped flag: minus the total level over krP.
 
-    Levels come from level_tables, built once for this (flag, k): one
-    integer table per chart (the single fixed chart in chart mode, every
-    maximal chart in cox mode) holding the least row of J^k that contains
-    each chart exponent vector of krP.  A point's level is the largest of
-    its table entries, read through one dot product per chart.  This
-    agrees with summing t_degree over krP, which searches the rows per
-    point and stays the reference.
+    Levels come from level_tables: one integer table per chart (the single
+    fixed chart in chart mode, every maximal chart in cox mode) holding the
+    least level of J^k that contains each chart exponent vector of krP.  A
+    point's level is the largest of its table entries, each read at one
+    affine functional of the point.  This agrees with summing t_degree over krP, which
+    searches the rows of J^k per point and stays the reference.
     """
     if flag.trivial:
         return 0
-    return _weight(variety, flag, r, k, variety.lattice_points(k * r))
+    return _weight(level_tables(variety, flag, r, k), k * r,
+                   variety.lattice_points(k * r))
 
 
-def _weight(variety, flag, r, k, points):
-    """weight_at on the already enumerated lattice points of krP."""
-    scale = k * r
+def _values(a, columns, shift):
+    """<a, u> + shift for every point u, given the coordinate columns of the
+    points: one pass over a column per nonzero entry of a, with no call per
+    point."""
+    out = [shift] * len(columns[0]) if columns else []
+    for x, col in zip(a, columns):
+        if x:
+            out = list(map(add, out, map(mul, repeat(x), col)))
+    return out
+
+
+def _weight(tables, scale, points):
+    """weight_at from the level tables of J^k, on the already enumerated
+    lattice points of krP, scale = k * r."""
+    columns = list(zip(*points))
     levels = None
-    for a, c, table in level_tables(variety, flag, r, k):
-        off = scale * c
-        col = [table[dot(a, u) - off] for u in points]
+    for a, c, table in tables:
+        col = list(map(table.__getitem__, _values(a, columns, -scale * c)))
         levels = col if levels is None else list(map(max, levels, col))
     return -sum(levels)
 
@@ -240,12 +258,14 @@ def _closure_functionals(variety, flag, r):
 def _closure_weight(funcs, k, points):
     """closure_weight_at from _closure_functionals, on the already
     enumerated lattice points of krP."""
+    columns = list(zip(*points))
     levels = [0] * len(points)
     for a, c, t in funcs:
-        # ceil(m / t) == (m + t - 1) // t for t > 0
+        # ceil(m / t) == (m + t - 1) // t for t > 0, and
+        # -v // t == (top - <a, u>) // t for v = <a, u> - top
         top = k * c + t - 1
-        levels = list(map(max, levels, [(top - dot(a, u)) // t
-                                         for u in points]))
+        levels = list(map(max, levels, [-v // t for v in
+                                         _values(a, columns, -top)]))
     return -sum(levels)
 
 
@@ -444,9 +464,11 @@ def df_counting(variety, flag, r, options=None):
     _semiample_note = _semiample_precheck(variety, flag, r)
     # one enumeration of krP per sample k feeds the weight, the Hilbert
     # count and, for point-supported chart flags, the closure weight; only
-    # the integers are kept across samples
+    # the integers are kept across samples.  The fit samples consecutive k,
+    # so one stepper builds the level tables of J^k from those of J^(k-1).
     closure = flag.mode == "chart" and flag.support == "point"
     funcs = _closure_functionals(variety, flag, r) if closure else None
+    stepper = LevelStepper(variety, flag, r)
     counts = {}
     closure_samples = {}
 
@@ -455,7 +477,7 @@ def df_counting(variety, flag, r, options=None):
         counts[k] = len(points)
         if closure:
             closure_samples[k] = _closure_weight(funcs, k, points)
-        return _weight(variety, flag, r, k, points)
+        return _weight(stepper.advance(k), k * r, points)
 
     wpoly, wsamples = _fit_with_extension(sample, n + 1, options, n)
     hpoly, _ = _fit_with_extension(

@@ -373,3 +373,33 @@ def test_malformed_job_fields_exit_one(tmp_path, capsys, command, job):
     assert out == ""
     assert "invalid input" in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# usage errors and non-integral numbers are invalid input (exit 1); exit 2
+# means undecided
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--workers", "two"],
+    ["compute", "--no-such-flag"],
+], ids=["bad_workers", "unknown_flag"])
+def test_usage_errors_exit_one(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "usage:" in err
+    assert "invalid input" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("job", [
+    _with(COMPUTE_JOB, r=1.9, pipeline="intersection"),
+    _with(COMPUTE_JOB, flag_ideal={"ideals": [{"gens": [[1.5]]}]}),
+    _with(COMPUTE_JOB, K_range=[1.5, 8]),
+], ids=["r", "generator", "K_range"])
+def test_non_integral_numbers_exit_one(tmp_path, capsys, job):
+    code, out, err = run(capsys, ["compute", "--job", write_job(tmp_path, job)])
+    assert code == 1
+    assert out == ""
+    assert "invalid input" in err
+    assert "Traceback" not in err

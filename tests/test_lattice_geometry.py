@@ -1,8 +1,11 @@
 """Polytope validation, lattice point counts, and intersection numbers."""
 
 import gc
+from itertools import product
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from dflab import (
@@ -17,6 +20,9 @@ from dflab import (
     make_variety,
     projective_space,
 )
+from dflab.hull import extreme_points
+from dflab.intlinalg import dot
+from dflab.lattice_geometry import _lattice_points
 
 
 def test_segment_descriptor():
@@ -103,6 +109,64 @@ def test_ehrhart_matches_oracle_scan_box(k):
 def test_ehrhart_matches_oracle_scan_f1(k):
     v = hirzebruch_anticanonical()
     assert sorted(v.lattice_points(k)) == sorted(oracles.f1_points(k))
+
+
+# _lattice_points walks the box over the first n-1 coordinates and reads
+# each fibre's interval of the last coordinate off the facets; filtering the
+# whole box through every facet is the reference, order included.
+
+def box_filter(poly, k):
+    axes = [range(min(v[i] for v in poly.vertices) * k,
+                  max(v[i] for v in poly.vertices) * k + 1)
+            for i in range(poly.dim)]
+    return [u for u in product(*axes)
+            if all(dot(a, u) >= k * c for a, c in poly.facets)]
+
+
+def polytope_of(points):
+    """The polytope of make_variety on the hull vertices of points, charted
+    at the first vertex it accepts; None when it accepts none."""
+    verts = extreme_points(sorted(set(points)))
+    for chart in verts:
+        try:
+            return make_variety(verts, chart).polytope
+        except NonUnimodularChartVertex:
+            continue
+        except InvalidInput:
+            return None
+    return None
+
+
+# a facet with last normal entry 0 passes or empties a whole fibre
+FLAT_FACETS = [
+    [(0, 0), (2, 0), (0, 1), (2, 2)],
+    [(0, 0), (1, 0), (3, 2), (0, 2)],
+    [(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 3), (2, 0, 3), (0, 1, 3)],
+]
+
+
+def point_sets(n):
+    # in R^3 small coordinates keep some vertex smooth often enough
+    coord = st.integers(0, 2) if n == 3 else st.integers(-3, 3)
+    return st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(point_sets))
+@example(FLAT_FACETS[0])
+@example(FLAT_FACETS[1])
+@example(FLAT_FACETS[2])
+def test_lattice_points_match_box_filter(points):
+    poly = polytope_of(points)
+    assume(poly is not None)
+    for k in range(5):
+        assert _lattice_points(poly, k) == box_filter(poly, k)
+
+
+def test_flat_facet_examples_have_a_flat_facet():
+    for points in FLAT_FACETS:
+        poly = polytope_of(points)
+        assert any(a[-1] == 0 for a, c in poly.facets)
 
 
 def test_lattice_points_leave_no_reference_cycles():

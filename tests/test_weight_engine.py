@@ -4,7 +4,9 @@ from fractions import Fraction
 from math import ceil
 
 import pytest
-from hypothesis import example, given, settings
+
+import oracles
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dflab.errors import (
@@ -20,8 +22,10 @@ from dflab.lattice_geometry import (
     make_variety,
     projective_space,
 )
+import dflab.monomial_algebra as ma
 from dflab.monomial_algebra import (
     FlagIdeal,
+    LevelStepper,
     MonomialIdeal,
     newton_polyhedron,
     phi_value,
@@ -214,6 +218,78 @@ def test_weight_at_matches_t_degree_sum_chart(case, r, k):
 @given(cox_flags(), st.integers(1, 2), st.integers(1, 3))
 def test_weight_at_matches_t_degree_sum_cox(flag, r, k):
     assert weight_at(F1, flag, r, k) == reference_weight(F1, flag, r, k)
+
+
+# df_counting keeps one LevelStepper and steps its tables from J^(k-1) to
+# J^k; the t_degree sum stays the reference at every k, also when the first
+# k is above 1.  F1 has chart reaches w_i of 2 and 3, so cox exponents up to
+# 6 mostly reach past the box side r * w_i that krP needs (D_i > r * w_i).
+
+def rigid_curve_gen(e):
+    """x^e for the cox variable of the rigid curve y = 0 of F1."""
+    idx = F1.polytope.facets.index(((0, 1), 0))
+    return tuple(e if i == idx else 0 for i in range(4))
+
+
+# (x^4) + (x^2) t + (t^2) on the rigid curve: exponent 4 against w = 2
+PAST_THE_BOX = flag_of([[rigid_curve_gen(4)], [rigid_curve_gen(2)]], 4,
+                       mode="cox", variety=F1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(chart_flags(), cox_flags().map(lambda flag: (F1, flag))),
+       st.integers(1, 2), st.integers(1, 3))
+@example((F1, PAST_THE_BOX), 1, 3)
+def test_stepped_tables_match_t_degree_sum(case, r, start):
+    variety, flag = case
+    # a unit chain is trivial; weight_at reads 0 for it without tables
+    assume(not flag.trivial)
+    stepper = LevelStepper(variety, flag, r)
+    for k in range(start, 7):
+        tables = stepper.advance(k)
+        assert stepper.k == k
+        assert we._weight(tables, k * r, variety.lattice_points(k * r)) == \
+            reference_weight(variety, flag, r, k)
+
+
+def test_df_counting_steps_each_k_once(monkeypatch):
+    steps = []
+    weights = {}
+    step = LevelStepper.step
+    weight = we._weight
+
+    def counted_step(self):
+        step(self)
+        steps.append(self.k)
+
+    def recorded_weight(tables, scale, points):
+        weights[scale] = weight(tables, scale, points)
+        return weights[scale]
+
+    def no_rows(flag, k):
+        raise AssertionError("the counting hot path built rows of J^k")
+
+    monkeypatch.setattr(LevelStepper, "step", counted_step)
+    monkeypatch.setattr(we, "_weight", recorded_weight)
+    monkeypatch.setattr(ma, "_chain_rows", no_rows)
+    report = df_counting(F1, PAST_THE_BOX, 1, FitOptions(window=(3, 9)))
+    monkeypatch.undo()
+    # the oracle numbers the facets of F1 in another order
+    oidx = oracles.F1_FACETS.index(((0, 1), 0))
+    ogen = lambda e: tuple(e if i == oidx else 0 for i in range(4))
+    assert report.df == oracles.df_f1_cox([[ogen(4)], [ogen(2)]], 2, 1)
+    # k = 1, 2 are stepped through but not sampled; then one step per k
+    assert sorted(weights) == list(range(3, 10))
+    assert steps == list(range(1, 10))
+    for k, w in weights.items():
+        assert w == reference_weight(F1, PAST_THE_BOX, 1, k)
+
+
+def test_level_stepper_does_not_step_back():
+    stepper = LevelStepper(F1, PAST_THE_BOX, 1)
+    stepper.advance(3)
+    with pytest.raises(ValueError):
+        stepper.advance(2)
 
 
 def test_weight_at_unsupported_modes():
