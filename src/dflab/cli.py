@@ -26,6 +26,7 @@ from .errors import (
     ExponentTooSmall,
     InvalidInput,
     NotStabilized,
+    as_integer,
 )
 from .lattice_geometry import (
     box,
@@ -38,26 +39,14 @@ from .stability_lab import SearchBounds, search_destabilizers
 from .weight_engine import (
     FitOptions,
     evaluate,
-    mabuchi_check,
-    weight_at,
     hilbert_at,
+    mabuchi_check,
+    weight_sequence,
 )
 
 
 def _dump(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _int(value, what):
-    """value as an int, or InvalidInput naming the job field; a value that
-    int() would change, such as 1.9 or "2", is not an integer."""
-    try:
-        out = int(value)
-    except (TypeError, ValueError):
-        out = None
-    if out is None or out != value:
-        raise InvalidInput("%s must be an integer, not %r" % (what, value))
-    return out
 
 
 def _list(value, what):
@@ -80,11 +69,11 @@ def build_variety(obj):
             if "chart_vertex" in obj else None
         return make_variety(verts, chart)
     if kind == "projective_space":
-        return projective_space(_int(obj.get("n", 1), "n"),
-                                _int(obj.get("d", 1), "d"))
+        return projective_space(as_integer(obj.get("n", 1), "n"),
+                                as_integer(obj.get("d", 1), "d"))
     if kind == "box":
         sides = _list(obj.get("sides", [1]), "sides")
-        return box([_int(s, "side") for s in sides])
+        return box([as_integer(s, "side") for s in sides])
     if kind == "hirzebruch":
         return hirzebruch_anticanonical()
     raise InvalidInput("unknown variety type %r" % (kind,))
@@ -97,7 +86,7 @@ def build_flag(obj, variety):
     ideals_obj = obj.get("ideals")
     if not isinstance(ideals_obj, list) or not ideals_obj:
         raise InvalidInput("flag_ideal needs a nonempty ideals list")
-    if "N" in obj and _int(obj["N"], "N") != len(ideals_obj):
+    if "N" in obj and as_integer(obj["N"], "N") != len(ideals_obj):
         raise InvalidInput("N disagrees with the number of ideals")
     nvars = variety.dim if mode == "chart" else len(variety.polytope.facets)
     chain = []
@@ -116,11 +105,12 @@ def _fit_options(job):
         if len(window) != 2:
             raise InvalidInput("K_range must be [k_min, k_max], not %r"
                                % (job["K_range"],))
-        kwargs["window"] = tuple(_int(k, "K_range entry") for k in window)
+        kwargs["window"] = tuple(as_integer(k, "K_range entry")
+                                 for k in window)
     if "K_cap" in job:
-        kwargs["cap"] = _int(job["K_cap"], "K_cap")
+        kwargs["cap"] = as_integer(job["K_cap"], "K_cap")
     if "guard" in job:
-        kwargs["guard"] = _int(job["guard"], "guard")
+        kwargs["guard"] = as_integer(job["guard"], "guard")
     return FitOptions(**kwargs)
 
 
@@ -164,7 +154,7 @@ def _write_atomic(path, text):
 def compute_envelope(job):
     variety = build_variety(job.get("variety", {}))
     flag = build_flag(job.get("flag_ideal", {}), variety)
-    r = _int(job.get("r", 1), "r")
+    r = as_integer(job.get("r", 1), "r")
     if r < 1:
         raise InvalidInput("r must be a positive integer")
     pipeline = job.get("pipeline", "both")
@@ -315,11 +305,10 @@ def _verify_battery(args):
         nvars=1, mode="chart",
         chain=(MonomialIdeal.zero(1), MonomialIdeal.make(1, [(2,)])),
         support="point", t_power=0)
-    good = True
-    for k in range(1, 7):
-        lhs = weight_at(variety, raw, 1, k)
-        rhs = weight_at(variety, flag, 1, k) - k * hilbert_at(variety, 1, k)
-        good = good and lhs == rhs
+    ks = range(1, 7)
+    lhs = weight_sequence(variety, raw, 1, ks)
+    rhs = weight_sequence(variety, flag, 1, ks)
+    good = all(lhs[k] == rhs[k] - k * hilbert_at(variety, 1, k) for k in ks)
     record("t_power_shift", good)
 
     # the trivial configuration carries zero weight and zero invariant
@@ -343,18 +332,25 @@ def _verify_battery(args):
 
 
 def _resolve_workers(args, job):
-    if args.workers:
-        return args.workers
-    if "workers" in job:
-        return _int(job["workers"], "workers")
+    """Worker count from --workers, else the job, else DFLAB_WORKERS, else
+    1; a count below 1 is invalid input wherever it comes from."""
     env = os.environ.get("DFLAB_WORKERS")
-    if env:
+    if args.workers is not None:
+        what, workers = "--workers", args.workers
+    elif "workers" in job:
+        what, workers = "workers", as_integer(job["workers"], "workers")
+    elif env:
+        what = "DFLAB_WORKERS"
         try:
-            return int(env)
+            workers = int(env)
         except ValueError:
             raise InvalidInput(
                 "DFLAB_WORKERS must be an integer, not %r" % (env,)) from None
-    return 1
+    else:
+        return 1
+    if workers < 1:
+        raise InvalidInput("%s must be at least 1, not %d" % (what, workers))
+    return workers
 
 
 def cmd_search(args):

@@ -1,8 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-field rule
+that raises InvalidInput."""
 
 
 class InvalidInput(ValueError):
     """Malformed or inconsistent user input."""
+
+
+def as_integer(value, what):
+    """value as an int, or InvalidInput naming what it is; a value that
+    int() would change, such as 1.9 or "2", is not an integer."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out != value:
+        raise InvalidInput("%s must be an integer, not %r" % (what, value))
+    return out
 
 
 class NotFullDimensional(InvalidInput):

@@ -5,9 +5,9 @@ testing every d-subset for a supporting hyperplane.  Everything else is
 read from those facets: a set of affine rank m is first projected onto m
 coordinates on which that rank survives (an affine isomorphism on its
 affine hull, integer points staying integer), its vertices are the points
-whose facet normals have rank m, and triangulations cone the facets from
-the lexicographically least point.  Lattice volumes on a hyperplane are
-read after dropping the coordinate of one nonzero normal entry.  All
+whose facet normals have rank m.  The one volume the library computes,
+the lattice volume of a set on a hyperplane, is a facet sum one
+dimension down; triangulations stay as the tests' reference.  All
 answers are exact.
 """
 
@@ -133,7 +133,8 @@ def _vertices(points, flat, facets):
 
 
 def simplex_volume(verts):
-    """Euclidean volume of a simplex given by m+1 points in dimension m."""
+    """Euclidean volume of a simplex given by m+1 points in dimension m;
+    a reference for tests, which the library does not call."""
     p0 = verts[0]
     m = len(verts) - 1
     if m == 0:
@@ -148,7 +149,8 @@ def triangulate_points(points, dim):
 
     Cones from the lexicographically least point, always a vertex, over
     the triangulated facets not containing it, each facet flattened by a
-    coordinate projection.  Recursion bottoms out in dimension one.
+    coordinate projection.  Recursion bottoms out in dimension one.  A
+    reference for tests, which the library does not call.
     """
     points = sorted(set(tuple(p) for p in points))
     if len(_rank_coords(points)) < dim:
@@ -168,7 +170,8 @@ def triangulate_points(points, dim):
 
 
 def volume_of_points(points, dim):
-    """Exact Euclidean volume of conv(points) inside R^dim."""
+    """Exact Euclidean volume of conv(points) inside R^dim; a reference for
+    tests, which the library does not call."""
     total = Fraction(0)
     for simp in triangulate_points(points, dim):
         total += simplex_volume(simp)
@@ -181,8 +184,16 @@ def lattice_volume(points, normal):
 
     Dropping coordinate i, the last nonzero entry of the normal, maps the
     lattice of the hyperplane onto a sublattice of Z^(d-1) of index
-    |normal[i]| (the normal is primitive), so the normalized volume is
-    (d-1)! times the Euclidean volume of the projection over |normal[i]|.
+    |normal[i]| (the normal is primitive), so the volume is the normalized
+    volume of the projection Q over |normal[i]|.  A segment's normalized
+    volume is its length.  Otherwise, for Q full-dimensional and any point
+    v of Q, coning Q from v over its facets G gives the facet sum
+
+        normalized volume of Q = sum over G of (<a_G, v> - c_G) * vol(G)
+
+    with a_G the primitive inner normal and c_G the offset of G, and
+    vol(G) the lattice volume of G, read by this function in one dimension
+    less.  A Q of lower dimension has no facets and volume 0.
     """
     c = dot(normal, points[0])
     for p in points:
@@ -193,7 +204,13 @@ def lattice_volume(points, normal):
     if d == 1:
         return 1
     i = max(j for j in range(d) if normal[j] != 0)
-    flat = [p[:i] + p[i + 1:] for p in points]
-    norm = volume_of_points(flat, d - 1) * factorial(d - 1) / abs(normal[i])
-    assert norm.denominator == 1
-    return int(norm)
+    flat = sorted(set(p[:i] + p[i + 1:] for p in points))
+    if d == 2:
+        norm = flat[-1][0] - flat[0][0]
+    else:
+        apex = flat[0]
+        norm = sum((dot(g.normal, apex) - g.offset)
+                   * lattice_volume(g.points, g.normal)
+                   for g in facets_of_points(flat))
+    assert norm % normal[i] == 0
+    return norm // abs(normal[i])

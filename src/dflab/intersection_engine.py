@@ -11,10 +11,12 @@ reduce to exact lattice data of the Newton polyhedron:
   DF = (T1 + T2 + T3) / (2 n! (n+1)!)
 
 with (L_r(-E))^(n+1) = -(n+1)! * integral of the support function over the
-dilated chart polytope, a(w) = |w|_1 - 1 the discrepancy of the ray, and
-facedeg(w) the lattice-normalized volume of the compact facet.  The value
-agrees with the counting pipeline exactly when the flag ideal's powers are
-integrally closed, and is a lower bound otherwise.
+dilated chart polytope = -sum over compact facets w of ord(w) * facedeg(w),
+a(w) = |w|_1 - 1 the discrepancy of the ray, ord(w) the facet's lattice
+height over the origin, and facedeg(w) the lattice-normalized volume of
+the compact facet (hull.lattice_volume).  The value agrees with the
+counting pipeline exactly when the flag ideal's powers are integrally
+closed, and is a lower bound otherwise.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import combinations
 from math import factorial
 
 from .errors import ExponentTooSmall, UnsupportedMode
-from .hull import lattice_volume, simplex_volume, triangulate_points
+from .hull import lattice_volume
 from .intlinalg import dot, solve_unique
 from .monomial_algebra import newton_polyhedron
 
@@ -72,42 +74,36 @@ class DecompositionReport:
 def lower_hull_integral(variety, flag, r):
     """Integral of the support function phi over the chart image of rP.
 
-    phi vanishes off the projections of the compact facets of the Newton
-    polyhedron, and over the projection of a facet F it is F's affine
-    function.  F's normal has a positive t-entry, so dropping t maps F
-    injectively, and phi takes the t-coordinate of each vertex of F at its
-    image.  A simplex of the projected facet therefore contributes its
-    volume times the mean t of its vertices.
+    Once the exponent guard has put the support of phi inside the chart
+    polytope, this is the volume of the region under phi in the orthant,
+    the closure of the orthant minus the Newton polyhedron NP.  The region
+    is star-shaped from 0 because NP + orthant = NP, so its volume is the
+    sum over its boundary facets of the cones from 0.  The coordinate
+    hyperplanes pass through 0, and so does every non-compact facet of NP,
+    which has a zero normal entry while NP meets every axis (the flag is
+    point-supported).  A compact facet F lies at lattice height order_F
+    over 0, so
+
+        integral of phi = sum over F of order_F * facedeg_F / (n+1)!
     """
     np_ = newton_polyhedron(flag)
-    if not np_.facets:
-        return Fraction(0)
-    n = variety.dim
+    _check_exponent(variety, np_, r)
+    return Fraction(sum(f.order * face_degree(flag, f) for f in np_.facets),
+                    factorial(variety.dim + 1))
 
-    # exponent guard: the support of phi must fit inside the chart polytope
+
+def _check_exponent(variety, np_, r):
+    """ExponentTooSmall unless every vertex of the Newton polyhedron's
+    compact facets projects into the chart image of rP (boundary allowed),
+    where phi lives; the vertices lie in the orthant, so only the facets
+    of P can exclude them."""
     for f in np_.facets:
         for p in f.vertices:
-            proj = p[:-1]
-            if not _inside_chart(variety, proj, r):
+            u = variety.point_from_chart(p[:-1], r)
+            if any(dot(a, u) < r * c for a, c in variety.polytope.facets):
                 raise ExponentTooSmall(
                     "newton polyhedron vertex %r leaves the chart polytope "
-                    "at exponent r=%d" % (tuple(proj), r))
-
-    total = Fraction(0)
-    for f in np_.facets:
-        height = {p[:-1]: p[-1] for p in f.vertices}
-        for simp in triangulate_points(list(height), n):
-            total += simplex_volume(simp) * Fraction(
-                sum(height[y] for y in simp), n + 1)
-    return total
-
-
-def _inside_chart(variety, y, r):
-    """Is the chart point y inside the chart image of rP (boundary allowed)?"""
-    if any(t < 0 for t in y):
-        return False
-    u = variety.point_from_chart(y, r)
-    return all(dot(a, u) >= r * c for a, c in variety.polytope.facets)
+                    "at exponent r=%d" % (tuple(p[:-1]), r))
 
 
 def _region_vertices(variety, np_, facet, r):
@@ -172,10 +168,7 @@ def _polyhedron_vertices(halves, n):
 def exceptional_data(flag):
     """Ray contributions of every compact facet of the Newton polyhedron."""
     np_ = newton_polyhedron(flag)
-    rays = []
-    for f in np_.facets:
-        rays.append((f, f.normal, f.order, sum(f.normal) - 1))
-    return np_, rays
+    return np_, [(f, f.normal, f.order, sum(f.normal) - 1) for f in np_.facets]
 
 
 def face_degree(flag, f):
@@ -205,23 +198,20 @@ def df_intersection(variety, flag, r):
     ln, lk = variety.intersection_numbers()
     ln_r = ln * r ** n
     lk_r = lk * r ** (n - 1)
-    integral = lower_hull_integral(variety, flag, r)
-    fact_n = factorial(n)
-    fact_np1 = factorial(n + 1)
-    le_power = -fact_np1 * integral
+    np_, raw = exceptional_data(flag)
+    _check_exponent(variety, np_, r)
+    rays = sorted((RayContribution(normal=w, order=order, discrepancy=disc,
+                                   face_degree=face_degree(flag, f))
+                   for f, w, order, disc in raw),
+                  key=lambda ray: ray.normal)
+    # the top power upstairs is the facet sum of lower_hull_integral
+    # times -(n+1)!; T3 weighs the same face degrees by the discrepancy
+    le_power = Fraction(-sum(ray.order * ray.face_degree for ray in rays))
     t1 = -n * lk_r * le_power
     t2 = Fraction(0)
-    np_, raw = exceptional_data(flag)
-    rays = []
-    t3 = Fraction(0)
-    for f, w, order, disc in raw:
-        fd = face_degree(flag, f)
-        rays.append(RayContribution(
-            normal=w, order=order, discrepancy=disc, face_degree=fd))
-        t3 += disc * fd
-    t3 = (n + 1) * ln_r * t3
-    df = Fraction(t1 + t2 + t3, 2 * fact_n * fact_np1)
-    rays.sort(key=lambda ray: ray.normal)
+    t3 = (n + 1) * ln_r * sum(ray.discrepancy * ray.face_degree
+                              for ray in rays)
+    df = Fraction(t1 + t2 + t3, 2 * factorial(n) * factorial(n + 1))
     return DecompositionReport(
         t1=Fraction(t1), t2=t2, t3=Fraction(t3), df=df,
         le_power=le_power, rays=tuple(rays), r=r, trivial=False)

@@ -8,20 +8,13 @@ wins over asymptotics throughout.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
-
-
-def vector_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g
 
 
 def primitive(v):
     """Divide an integer vector by the gcd of its entries."""
-    g = vector_gcd(v)
+    g = gcd(*map(int, v))
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(int(x) // g for x in v)
@@ -124,10 +117,8 @@ def nullspace_primitive(rows, dim):
     v[free] = Fraction(1)
     for r, c in enumerate(pivots):
         v[c] = -red[r][free]
-    lcm = 1
-    for x in v:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    return primitive([int(x * lcm) for x in v])
+    den = lcm(*(x.denominator for x in v))
+    return primitive([int(x * den) for x in v])
 
 
 def hyperplane_normal(points):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import factorial
 
 from .errors import (
     InconsistentVertices,
@@ -22,7 +21,7 @@ from .errors import (
     NotFullDimensional,
     PointOutsidePolytope,
 )
-from .hull import _vertices, facets_of_points, lattice_volume, volume_of_points
+from .hull import _vertices, facets_of_points, lattice_volume
 from .intlinalg import det, dot, integer_inverse, rank
 
 
@@ -38,7 +37,7 @@ class PolarizedToricVariety:
     polytope: LatticePolytope
     chart_vertex: tuple
     edge_directions: tuple   # primitive generators of the cone at chart_vertex
-    chart_matrix: tuple      # rows of the inverse of the edge matrix
+    chart_matrix: tuple      # tight facet normals, row j dual to edge j
     smooth: bool             # every vertex cone unimodular
 
     @property
@@ -96,7 +95,7 @@ class PolarizedToricVariety:
         """Facet index tight at chart_vertex and dual to each edge direction.
 
         Row j of chart_matrix is that facet's normal: it is 1 on edge j and
-        0 on the others, and the rows are the tight normals."""
+        0 on the others."""
         normals = [a for a, c in self.polytope.facets]
         return tuple(normals.index(row) for row in self.chart_matrix)
 
@@ -126,29 +125,27 @@ def _lattice_points(poly, k):
 
 
 def _intersection_numbers(poly):
-    n = poly.dim
-    vol = volume_of_points(list(poly.vertices), n)
-    ln = vol * factorial(n)
-    assert ln.denominator == 1
-    # each boundary divisor meets L^(n-1) in its facet's normalized volume
-    boundary = sum(lattice_volume([v for v in poly.vertices if dot(a, v) == c], a)
-                   for a, c in poly.facets)
-    return int(ln), -boundary
+    """(L^n, L^(n-1).K) as sums over the facets F of P.
 
-
-def _edge_directions(poly, v):
-    """Primitive edge generators of P at the vertex v, in descending order,
-    or None when v is not smooth.
-
-    v is smooth exactly when it lies on n facets whose normal matrix A has
-    determinant +-1; its edges are then the columns of A^-1, each of which
-    vanishes on all tight normals but one.  Descending order makes the frame
-    at the origin of the stock polytopes the identity.
+    The boundary divisor of F meets L^(n-1) in lam_F, the lattice volume
+    of F, and K is minus the sum of the boundary divisors.  L^n is the
+    normalized volume of P, the facet sum of hull.lattice_volume over one
+    vertex v: the sum of (<a_F, v> - c_F) * lam_F.
     """
+    v = poly.vertices[0]
+    terms = [(dot(a, v) - c,
+              lattice_volume([u for u in poly.vertices if dot(a, u) == c], a))
+             for a, c in poly.facets]
+    return sum(h * lam for h, lam in terms), -sum(lam for _, lam in terms)
+
+
+def _smooth_normals(poly, v):
+    """Normals of the facets through the vertex v when they are n and have
+    determinant +-1, i.e. v is smooth; None otherwise."""
     tight = [a for a, c in poly.facets if dot(a, v) == c]
     if len(tight) != poly.dim or abs(det(tight)) != 1:
         return None
-    return tuple(sorted(zip(*integer_inverse(tight)), reverse=True))
+    return tight
 
 
 def make_variety(vertices, chart_vertex=None):
@@ -195,18 +192,21 @@ def make_variety(vertices, chart_vertex=None):
             "chart vertex %r is not a vertex" % (chart_vertex,)) from None
     if v0 not in uniq:
         raise InvalidInput("chart vertex %r is not a vertex" % (v0,))
-    dirs = _edge_directions(poly, v0)
-    if dirs is None:
+    tight = _smooth_normals(poly, v0)
+    if tight is None:
         raise NonUnimodularChartVertex(
             "cone at %r is not a smooth chart" % (v0,))
-    mat = [[dirs[j][i] for j in range(n)] for i in range(n)]  # columns = dirs
-    u = integer_inverse(mat)
-    smooth = all(_edge_directions(poly, v) is not None for v in poly.vertices)
+    # the edges at v0 are the columns of the inverse of the tight normal
+    # matrix, each 1 on its own normal and 0 on the others; descending
+    # order makes the frame at the origin of the stock polytopes the
+    # identity, and the chart map is the tight normals in the same order
+    frame = sorted(zip(zip(*integer_inverse(tight)), tight), reverse=True)
+    smooth = all(_smooth_normals(poly, v) is not None for v in poly.vertices)
     return PolarizedToricVariety(
         polytope=poly,
         chart_vertex=v0,
-        edge_directions=dirs,
-        chart_matrix=u,
+        edge_directions=tuple(d for d, _ in frame),
+        chart_matrix=tuple(a for _, a in frame),
         smooth=smooth,
     )
 

@@ -21,6 +21,7 @@ from .errors import (
     InvalidInput,
     NonPositiveExceptionalRay,
     UnsupportedMode,
+    as_integer,
 )
 from .hull import extreme_points, facets_of_points
 from .intlinalg import dot
@@ -47,21 +48,16 @@ class MonomialIdeal:
         ints = []
         for g in gens:
             try:
-                g = tuple(g)
-                p = tuple(int(x) for x in g)
-            except (TypeError, ValueError) as exc:
+                g = tuple(as_integer(x, "generator entry") for x in g)
+            except TypeError:
                 raise InvalidInput(
-                    "generator entries must be integers: %s" % exc) from None
-            if p != g:
-                raise InvalidInput("generator %r has a non-integer entry" % (g,))
-            ints.append(p)
-        gens = ints
-        for g in gens:
+                    "generator %r is not a list" % (g,)) from None
             if len(g) != nvars:
                 raise InvalidInput("generator %r has wrong arity" % (g,))
             if any(x < 0 for x in g):
                 raise InvalidInput("generator %r has a negative exponent" % (g,))
-        return MonomialIdeal(nvars, minimalize(gens))
+            ints.append(g)
+        return MonomialIdeal(nvars, minimalize(ints))
 
     @staticmethod
     def zero(nvars):
@@ -380,8 +376,14 @@ class LevelStepper:
             ch.shape, ch.table = shape, new
 
     def advance(self, k):
-        """Step up to J^k (k at least the current power) and return its
-        tables, as level_tables does."""
+        """Step up to J^k (k at least the current power) and return the
+        level function of J^k on krP, one table per chart.
+
+        Returns a list of (A, C, table) with
+        g_k(u) = max over the list of table[<A, u> - k * r * C].  Each
+        table covers a box of chart exponents containing those reached by
+        krP; A and C fold the chart functionals, their offsets and the
+        row-major strides into one dot product."""
         if k < self.k:
             raise ValueError("cannot step back from J^%d to J^%d" % (self.k, k))
         while self.k < k:
@@ -392,20 +394,6 @@ class LevelStepper:
             weights = tuple(dot(strides, col) for col in zip(*ch.funcs))
             out.append((weights, dot(strides, ch.offs), ch.table))
         return out
-
-
-def level_tables(variety, flag, r, k):
-    """Level function of the non-trivial flag's k-th power on krP, one
-    table per chart.
-
-    Returns a list of (A, C, table) with
-    g_k(u) = max over the list of table[<A, u> - k * r * C].  Each table
-    covers a box of chart exponents containing those reached by krP; A and
-    C fold the chart functionals, their offsets and the row-major strides
-    into one dot product.  The tables come from a LevelStepper stepped from
-    J^0 up to J^k; callers sampling consecutive k keep one stepper instead.
-    """
-    return LevelStepper(variety, flag, r).advance(k)
 
 
 def graded_piece(flag, k, j):

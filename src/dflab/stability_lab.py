@@ -22,6 +22,7 @@ from .errors import (
     ExponentTooSmall,
     InvalidInput,
     NotStabilized,
+    as_integer,
 )
 from .monomial_algebra import (
     MonomialIdeal,
@@ -43,17 +44,22 @@ class SearchBounds:
     @staticmethod
     def from_json(obj):
         try:
-            return SearchBounds(
-                n_max=int(obj["N_max"]),
-                d_max=int(obj["d_max"]),
-                g_max=int(obj["g_max"]),
-                r_list=tuple(int(r) for r in obj["r_list"]),
+            bounds = SearchBounds(
+                n_max=as_integer(obj["N_max"], "N_max"),
+                d_max=as_integer(obj["d_max"], "d_max"),
+                g_max=as_integer(obj["g_max"], "g_max"),
+                r_list=tuple(as_integer(r, "r_list entry")
+                             for r in obj["r_list"]),
                 mode=obj.get("mode", "chart"),
             )
         except KeyError as exc:
             raise InvalidInput("search bounds need %s" % exc) from None
         except (TypeError, ValueError) as exc:
             raise InvalidInput("malformed search bounds: %s" % exc) from None
+        if any(r < 1 for r in bounds.r_list):
+            raise InvalidInput("r_list entries must be positive, not %r"
+                               % (list(bounds.r_list),))
+        return bounds
 
     def to_json_dict(self):
         return {

@@ -30,7 +30,6 @@ from .errors import (
 from .intlinalg import dot
 from .monomial_algebra import (
     LevelStepper,
-    level_tables,
     newton_polyhedron,
     pure_powers,
 )
@@ -179,17 +178,15 @@ def _poly_mul_linear(coeffs, c0):
 def weight_at(variety, flag, r, k):
     """W(k) for the stripped flag: minus the total level over krP.
 
-    Levels come from level_tables: one integer table per chart (the single
-    fixed chart in chart mode, every maximal chart in cox mode) holding the
-    least level of J^k that contains each chart exponent vector of krP.  A
-    point's level is the largest of its table entries, each read at one
-    affine functional of the point.  This agrees with summing t_degree over krP, which
-    searches the rows of J^k per point and stays the reference.
+    Levels come from LevelStepper.advance: one integer table per chart (the
+    single fixed chart in chart mode, every maximal chart in cox mode)
+    holding the least level of J^k that contains each chart exponent vector
+    of krP.  A point's level is the largest of its table entries, each read
+    at one affine functional of the point.  This agrees with summing
+    t_degree over krP, which searches the rows of J^k per point and stays
+    the reference.
     """
-    if flag.trivial:
-        return 0
-    return _weight(level_tables(variety, flag, r, k), k * r,
-                   variety.lattice_points(k * r))
+    return weight_sequence(variety, flag, r, (k,))[k]
 
 
 def _values(a, columns, shift):
@@ -215,7 +212,14 @@ def _weight(tables, scale, points):
 
 
 def weight_sequence(variety, flag, r, ks):
-    return {k: weight_at(variety, flag, r, k) for k in ks}
+    """{k: weight_at(variety, flag, r, k)} over the ks, from one LevelStepper
+    stepped across them in increasing order: the tables of J^k are built
+    once up to the largest k, not once per k."""
+    if flag.trivial:
+        return {k: 0 for k in ks}
+    stepper = LevelStepper(variety, flag, r)
+    return {k: _weight(stepper.advance(k), k * r,
+                       variety.lattice_points(k * r)) for k in sorted(ks)}
 
 
 def closure_weight_at(variety, flag, r, k):
@@ -510,7 +514,7 @@ def _semiample_precheck(variety, flag, r):
     axis = pure_powers(flag.chain[-1].gens, range(variety.dim))
     widths = _chart_axis_widths(variety)
     for i in range(variety.dim):
-        if axis[i] is not None and widths[i] is not None and r * widths[i] < axis[i]:
+        if axis[i] is not None and r * widths[i] < axis[i]:
             return ("exceptional locus may be clipped at r=%d; expect a "
                     "quasi-polynomial or an exponent error" % r)
     return None
@@ -518,16 +522,8 @@ def _semiample_precheck(variety, flag, r):
 
 def _chart_axis_widths(variety):
     """Extent of the polytope along each chart coordinate axis."""
-    widths = []
-    n = variety.dim
-    for i in range(n):
-        best = 0
-        for v in variety.polytope.vertices:
-            y = variety.chart_coords(v, 1)
-            if y[i] > best:
-                best = y[i]
-        widths.append(best)
-    return widths
+    return [max(col) for col in zip(*(variety.chart_coords(v, 1)
+                                      for v in variety.polytope.vertices))]
 
 
 def evaluate(variety, flag, r, pipeline="both", options=None):

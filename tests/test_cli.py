@@ -403,3 +403,47 @@ def test_non_integral_numbers_exit_one(tmp_path, capsys, job):
     assert out == ""
     assert "invalid input" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bounds", [
+    {"N_max": 1.7, "d_max": 2, "g_max": 1, "r_list": [1]},
+    {"N_max": 1, "d_max": 2.9, "g_max": 1, "r_list": [1]},
+    {"N_max": 1, "d_max": 2, "g_max": 1.5, "r_list": [1]},
+    {"N_max": 1, "d_max": 2, "g_max": 1, "r_list": [1.5]},
+    {"N_max": "1", "d_max": 2, "g_max": 1, "r_list": [1]},
+    {"N_max": 1, "d_max": 2, "g_max": 1, "r_list": [1, 0]},
+], ids=["N_max", "d_max", "g_max", "r_list", "string", "r_zero"])
+def test_bad_search_bounds_exit_one(tmp_path, capsys, bounds):
+    job = _with(SEARCH_JOB, bounds=bounds)
+    code, out, err = run(capsys, ["search", "--job", write_job(tmp_path, job)])
+    assert code == 1
+    assert out == ""
+    assert "invalid input" in err
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# a worker count below 1 is invalid input wherever it comes from
+
+@pytest.mark.parametrize("argv, job, env", [
+    (["--workers=0"], {}, None),
+    (["--workers=-2"], {}, None),
+    (["--workers", "0"], {"workers": 2}, None),
+    ([], {"workers": -3}, None),
+    ([], {"workers": 0}, "2"),
+    ([], {}, "0"),
+    ([], {}, "-1"),
+], ids=["flag_zero", "flag_negative", "flag_zero_over_job", "job_negative",
+        "job_zero_over_env", "env_zero", "env_negative"])
+def test_worker_count_below_one_exits_one(tmp_path, capsys, monkeypatch,
+                                          argv, job, env):
+    if env is None:
+        monkeypatch.delenv("DFLAB_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("DFLAB_WORKERS", env)
+    path = write_job(tmp_path, dict(SEARCH_JOB, **job))
+    code, out, err = run(capsys, ["search", "--job", path] + argv)
+    assert code == 1
+    assert out == ""
+    assert "must be at least 1" in err
+    assert "Traceback" not in err

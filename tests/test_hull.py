@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dflab.hull as hull
 from dflab.errors import InvalidInput
 from dflab.hull import (
     extreme_points,
@@ -68,6 +69,25 @@ def test_lattice_volume_divides_by_the_dropped_normal_entry():
     # x + 2y + 3z = 6: dropping z leaves a triangle of area 9, and the
     # plane's lattice maps onto a sublattice of index 3
     assert lattice_volume([(6, 0, 0), (0, 3, 0), (0, 0, 2)], (1, 2, 3)) == 6
+
+
+def test_lattice_volume_recursion_stops_at_segments(monkeypatch):
+    # the facet sum recurses one dimension at a time and reads a segment's
+    # length directly, so no hull is ever taken of points on a line
+    seen = []
+    facets = hull.facets_of_points
+
+    def recorded(points, *args, **kwargs):
+        seen.append(len(points[0]))
+        return facets(points, *args, **kwargs)
+
+    monkeypatch.setattr(hull, "facets_of_points", recorded)
+    # the facet x_4 = 0 of the 4-simplex of side 2 is a tetrahedron of
+    # normalized volume 2^3; the tilted segment has lattice length 2
+    cube = [(0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0)]
+    assert lattice_volume(cube, (0, 0, 0, 1)) == 8
+    assert lattice_volume([(0, 0), (2, 4), (1, 2)], (2, -1)) == 2
+    assert seen and min(seen) >= 2
 
 
 def test_lattice_volume_rejects_points_off_the_hyperplane():

@@ -1,12 +1,15 @@
 """Tests for the closed intersection-number pipeline."""
 
 import random
+import sys
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dflab.intersection_engine as ie
 from dflab.errors import ExponentTooSmall, UnsupportedMode
 from dflab.hull import simplex_volume, triangulate_points, volume_of_points
 from dflab.intersection_engine import (
@@ -233,6 +236,70 @@ def test_rays_are_sorted_by_normal():
     normals = [ray.normal for ray in deco.rays]
     assert normals == sorted(normals)
     assert normals == [(1, 1), (1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# the closed formula is a facet sum of lattice volumes
+
+REFERENCE_ONLY = ("triangulate_points", "volume_of_points", "simplex_volume",
+                  "det")
+
+
+def test_closed_formula_reaches_no_triangulation_or_determinant(monkeypatch):
+    # varieties are made first: make_variety checks smoothness by det
+    cases = [
+        (projective_space(1, 2), flag_of([[(2,)]], 1), 1, 1),
+        (projective_space(2, 2), flag_of([[(2, 0), (1, 1), (0, 2)]], 2), 1, 1),
+        (projective_space(2, 2), flag_of([[(3, 0), (0, 3)]], 2), 2, 15),
+        (projective_space(1, 3), flag_of([[(3,)], [(1,)]], 1), 1, None),
+        (INTEGRAL_VARIETIES[3],
+         flag_of([[(3, 0), (0, 2)], [(1, 0), (0, 1)]], 2), 2, None),
+        (projective_space(3, 1),
+         flag_of([[(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 0)]], 3), 3, None),
+    ]
+    expected = [df_intersection(v, flag, r) for v, flag, r, _ in cases]
+    numbers = [v.intersection_numbers() for v, *_ in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reference volume reached")
+
+    for name, mod in list(sys.modules.items()):
+        if name == "dflab" or name.startswith("dflab."):
+            for attr in REFERENCE_ONLY:
+                if hasattr(mod, attr):
+                    monkeypatch.setattr(mod, attr, forbidden)
+    calls = []
+    monkeypatch.setattr(
+        ie, "face_degree",
+        lambda flag, f: calls.append(f) or face_degree(flag, f))
+    for (v, flag, r, df), want, nums in zip(cases, expected, numbers):
+        del calls[:]
+        deco = df_intersection(v, flag, r)
+        assert deco == want
+        assert df is None or deco.df == df
+        # face_degree runs once per compact facet
+        assert sorted(f.normal for f in calls) == \
+            [ray.normal for ray in deco.rays]
+        assert v.intersection_numbers() == nums
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_chains())
+def test_le_power_is_the_integral_facet_sum(case):
+    # T1 reads the top power upstairs from the same face degrees as T3;
+    # it must still be -(n+1)! times the integral of phi
+    variety, flag, r = case
+    try:
+        integral = lower_hull_integral(variety, flag, r)
+    except ExponentTooSmall:
+        with pytest.raises(ExponentTooSmall):
+            df_intersection(variety, flag, r)
+        return
+    n = variety.dim
+    deco = df_intersection(variety, flag, r)
+    assert deco.le_power == -integral * factorial(n + 1)
+    assert deco.le_power == -sum(ray.order * ray.face_degree
+                                 for ray in deco.rays)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Polytope validation, lattice point counts, and intersection numbers."""
 
 import gc
+from math import factorial
 from itertools import product
 
 import pytest
@@ -20,9 +21,9 @@ from dflab import (
     make_variety,
     projective_space,
 )
-from dflab.hull import extreme_points
+from dflab.hull import extreme_points, volume_of_points
 from dflab.intlinalg import dot
-from dflab.lattice_geometry import _lattice_points
+from dflab.lattice_geometry import _intersection_numbers, _lattice_points
 
 
 def test_segment_descriptor():
@@ -190,6 +191,50 @@ def test_intersection_numbers():
     assert box((1, 1)).intersection_numbers() == (2, -4)
     assert hirzebruch_anticanonical().intersection_numbers() == (8, -8)
     assert projective_space(3, 1).intersection_numbers() == (1, -4)
+
+
+# the intersection numbers are facet sums of lattice volumes; the reference
+# triangulates P for L^n and each facet's projection for its lattice volume
+
+def reference_intersection_numbers(poly):
+    n = poly.dim
+    if n == 1:
+        return poly.vertices[-1][0] - poly.vertices[0][0], -2
+    boundary = 0
+    for a, c in poly.facets:
+        i = max(j for j in range(n) if a[j] != 0)
+        flat = [v[:i] + v[i + 1:] for v in poly.vertices if dot(a, v) == c]
+        boundary += volume_of_points(flat, n - 1) * factorial(n - 1) \
+            / abs(a[i])
+    return volume_of_points(list(poly.vertices), n) * factorial(n), -boundary
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(point_sets))
+@example(FLAT_FACETS[2])
+def test_intersection_numbers_match_triangulation(points):
+    poly = polytope_of(points)
+    assume(poly is not None)
+    assert _intersection_numbers(poly) == reference_intersection_numbers(poly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(point_sets))
+def test_chart_matrix_inverts_the_edge_matrix(points):
+    # chart_matrix is read from the tight normals, not by inverting the
+    # edge matrix; each row must still be dual to one edge direction
+    poly = polytope_of(points)
+    assume(poly is not None)
+    for v in poly.vertices:
+        try:
+            var = make_variety(poly.vertices, v)
+        except NonUnimodularChartVertex:
+            continue
+        assert [[dot(row, e) for e in var.edge_directions]
+                for row in var.chart_matrix] == \
+            [[int(i == j) for j in range(poly.dim)] for i in range(poly.dim)]
+        assert all(row in [a for a, c in poly.facets if dot(a, v) == c]
+                   for row in var.chart_matrix)
 
 
 def test_chart_coords_identity_chart():

@@ -145,6 +145,24 @@ def test_quasi_sequence_matches_live_counts():
     assert seq == {k: PARITY_SPLIT_COUNTS[k] for k in range(1, 8)}
 
 
+def test_weight_sequence_steps_one_stepper(monkeypatch):
+    # k = 1..8 read from one stepper take 8 table steps; a fresh stepper
+    # per k would take 1 + 2 + ... + 8 = 36
+    v = projective_space(2, 2)
+    flag = flag_of([[(2, 0), (1, 1), (0, 2)]], 2)
+    ks = [5, 1, 8, 3, 2, 7, 4, 6]
+    expected = {k: weight_at(v, flag, 1, k) for k in ks}
+    steps = []
+    step = LevelStepper.step
+    monkeypatch.setattr(LevelStepper, "step",
+                        lambda self: steps.append(self.k) or step(self))
+    assert weight_sequence(v, flag, 1, ks) == expected
+    assert len(steps) == 8
+    trivial = flag_of([[(0, 0)]], 2)
+    assert weight_sequence(v, trivial, 1, ks) == {k: 0 for k in ks}
+    assert len(steps) == 8
+
+
 # ---------------------------------------------------------------------------
 # weight and closure samples
 
