@@ -31,7 +31,6 @@ from .monomial_algebra import (
     FlagIdeal,
     MonomialIdeal,
     cox_lift,
-    graded_piece,
     newton_polyhedron,
     phi_value,
     t_degree,
@@ -102,7 +101,6 @@ __all__ = [
     "enumerate_flag_ideals",
     "evaluate",
     "fit_polynomial",
-    "graded_piece",
     "hilbert_polynomial",
     "hirzebruch_anticanonical",
     "lower_hull_integral",

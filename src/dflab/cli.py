@@ -13,9 +13,11 @@ too small to decide, 3 an exact consistency check failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
+import pathlib
 import sys
 import tempfile
 from math import factorial
@@ -129,11 +131,23 @@ def load_job(args):
     return job
 
 
+@functools.cache
+def _source_digest():
+    """sha256 over the name and bytes of each *.py file of the package, in
+    name order; read once per process."""
+    digest = hashlib.sha256()
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
 def job_key(job):
-    """Cache key of a job: the job and the dflab version that computed it,
-    so a cache written by another version is not replayed."""
+    """Cache key of a job: the job, the dflab version and the digest of the
+    package sources that computed it, so a cache written by other code is
+    not replayed, even under the same version."""
     return hashlib.sha256(json.dumps(
-        {"job": job, "version": __version__},
+        {"job": job, "version": __version__, "source": _source_digest()},
         sort_keys=True).encode()).hexdigest()[:24]
 
 
@@ -190,25 +204,23 @@ def _print_table(envelope, out):
 
 
 def cmd_compute(args):
+    """Print the job's envelope, replayed from --cache-dir when it holds
+    one.  Both formats render the dumped bytes, so a computed and a
+    replayed run print the same."""
     job = load_job(args)
-    cache_file = None
+    cache_file = text = None
     if args.cache_dir:
         os.makedirs(args.cache_dir, exist_ok=True)
         cache_file = os.path.join(args.cache_dir, job_key(job) + ".json")
         if os.path.exists(cache_file):
             with open(cache_file) as fh:
                 text = fh.read()
-            if args.format == "table":
-                _print_table(json.loads(text), sys.stdout)
-            else:
-                sys.stdout.write(text)
-            return 0
-    envelope = compute_envelope(job)
-    text = _dump(envelope)
-    if cache_file:
-        _write_atomic(cache_file, text)
+    if text is None:
+        text = _dump(compute_envelope(job))
+        if cache_file:
+            _write_atomic(cache_file, text)
     if args.format == "table":
-        _print_table(envelope, sys.stdout)
+        _print_table(json.loads(text), sys.stdout)
     else:
         sys.stdout.write(text)
     return 0

@@ -1,4 +1,4 @@
-"""Monomial ideals, flag ideals, and the graded pieces of their powers.
+"""Monomial ideals, flag ideals, and the level functions of their powers.
 
 A flag ideal J = I_0 + I_1 t + ... + I_{N-1} t^{N-1} + (t^N) packages an
 increasing chain of monomial ideals into an ideal on the product with an
@@ -20,6 +20,7 @@ from .errors import (
     ChainViolation,
     InvalidInput,
     NonPositiveExceptionalRay,
+    PointOutsidePolytope,
     UnsupportedMode,
     as_integer,
 )
@@ -132,20 +133,6 @@ def pure_powers(gens, idxs):
         for i in idxs)
 
 
-def _classify_support(mode, chain, variety):
-    if mode == "chart":
-        return "point" if all(None not in pure_powers(i.gens, range(i.nvars))
-                              for i in chain) else "general"
-    point = True
-    for chart in variety.maximal_charts():
-        for ideal in chain:
-            if ideal.includes_on(MonomialIdeal.unit(ideal.nvars), chart):
-                continue
-            if None in pure_powers(ideal.gens, chart):
-                point = False
-    return "point" if point else "general"
-
-
 def validate_flag_ideal(ideals, mode="chart", variety=None):
     """Normalize a chain of monomial ideals into a FlagIdeal.
 
@@ -154,6 +141,10 @@ def validate_flag_ideal(ideals, mode="chart", variety=None):
     invariant).  Trailing entries equal to the unit ideal are absorbed
     into a shorter chain.  An empty or everywhere-unit result is the
     trivial configuration, reported as a flag rather than an error.
+
+    Every test runs chart by chart: a chart-mode ideal lives on the one
+    chart of all its variables, a cox-mode ideal on each maximal chart of
+    the variety, with the variables away from the chart inverted.
     """
     if mode not in ("chart", "cox"):
         raise InvalidInput("unknown mode %r" % (mode,))
@@ -167,6 +158,9 @@ def validate_flag_ideal(ideals, mode="chart", variety=None):
         raise InvalidInput("ideal chain has mixed variable counts")
     if mode == "cox" and nvars != len(variety.polytope.facets):
         raise InvalidInput("cox ideals need one variable per facet")
+    charts = ((tuple(range(nvars)),) if mode == "chart"
+              else variety.maximal_charts())
+    unit = MonomialIdeal.unit(nvars)
 
     t_power = 0
     while ideals and ideals[0].is_zero:
@@ -175,80 +169,22 @@ def validate_flag_ideal(ideals, mode="chart", variety=None):
     if not ideals:
         return FlagIdeal(nvars, mode, (), "trivial", t_power)
 
-    def is_sheaf_unit(ideal):
-        if mode == "chart":
-            return ideal.is_unit
-        return all(ideal.includes_on(MonomialIdeal.unit(nvars), chart)
-                   for chart in variety.maximal_charts())
-
-    def includes(a, b):
-        if mode == "chart":
-            return a.includes(b)
-        return all(a.includes_on(b, chart) for chart in variety.maximal_charts())
-
     for prev, cur in zip(ideals, ideals[1:]):
-        if not includes(cur, prev):
+        if not all(cur.includes_on(prev, c) for c in charts):
             raise ChainViolation("ideal chain is not increasing")
 
-    while ideals and is_sheaf_unit(ideals[-1]):
+    while ideals and all(ideals[-1].includes_on(unit, c) for c in charts):
         ideals.pop()
     if not ideals:
         # unit chain: J is a pure power of t
         return FlagIdeal(nvars, mode, (), "trivial", t_power)
 
     chain = tuple(ideals)
-    support = _classify_support(mode, chain, variety)
-    return FlagIdeal(nvars, mode, chain, support, t_power)
-
-
-# ---------------------------------------------------------------------------
-# graded pieces of powers
-
-_ROWS_CACHE = {}
-
-
-def _chain_key(flag):
-    return (flag.nvars, tuple(i.gens for i in flag.chain))
-
-
-def _chain_rows(flag, k):
-    """rows[j] = generators of the degree-(k, j) piece of J^k for 0 <= j <= kN.
-
-    The piece at level j is the sum over (j_1, ..., j_k) with sum <= j of
-    I_{j_1} ... I_{j_k}, where I_j is the unit ideal for j >= N.  Rows are
-    cumulative in j by construction.  Only the per-point reference
-    (t_degree, graded_piece, level_of_membership) builds rows; counting
-    steps LevelStepper tables instead.
-    """
-    key = _chain_key(flag)
-    per = _ROWS_CACHE.setdefault(key, {})
-    if k in per:
-        return per[k]
-    n = flag.nvars
-    big_n = flag.big_n
-    unit = MonomialIdeal.unit(n)
-    chain = list(flag.chain) + [unit]
-
-    def ideal_at(j):
-        return chain[min(j, big_n)]
-
-    if k == 1:
-        rows = [ideal_at(j) for j in range(big_n + 1)]
-        per[1] = rows
-        return rows
-    prev = _chain_rows(flag, k - 1)
-    top_prev = len(prev) - 1
-    rows = []
-    for j in range(k * big_n + 1):
-        acc = rows[-1] if rows else MonomialIdeal.zero(n)
-        for b in range(0, min(j, big_n) + 1):
-            left = prev[min(j - b, top_prev)]
-            if left.is_zero:
-                continue
-            acc = acc.sum(left.product(ideal_at(b)))
-        rows.append(acc)
-    per[k] = rows
-    return rows
+    # on each chart every ideal is the unit or holds a power of each variable
+    point = all(i.includes_on(unit, c) or None not in pure_powers(i.gens, c)
+                for c in charts for i in chain)
+    return FlagIdeal(nvars, mode, chain, "point" if point else "general",
+                     t_power)
 
 
 def _chart_functionals(variety, flag):
@@ -396,71 +332,24 @@ class LevelStepper:
         return out
 
 
-def graded_piece(flag, k, j):
-    """Monomial ideal of x-exponents u with x^u t^j in J^k."""
-    if flag.trivial:
-        n = flag.nvars
-        return MonomialIdeal.unit(n) if j >= 0 else MonomialIdeal.zero(n)
-    rows = _chain_rows(flag, k)
-    if j < 0:
-        return MonomialIdeal.zero(flag.nvars)
-    return rows[min(j, len(rows) - 1)]
-
-
-def level_of_membership(flag, k, y):
-    """Least j with x^y t^j in J^k, for chart coordinates y; None never occurs
-    because the top row is the unit ideal."""
-    rows = _chain_rows(flag, k)
-    lo, hi = 0, len(rows) - 1
-    if rows[lo].contains(y):
-        return 0
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if rows[mid].contains(y):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _level_on_chart(rows, y, chart):
-    lo, hi = 0, len(rows) - 1
-    if rows[lo].contains_on(y, chart):
-        return 0
-    if not rows[hi].contains_on(y, chart):
-        return None
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if rows[mid].contains_on(y, chart):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def t_degree(variety, flag, r, k, u):
     """g_k(u): least t-power putting the section at lattice point u of krP
     inside J^k.  The stripped chain is used; callers add k * t_power for
-    the unnormalized ideal."""
+    the unnormalized ideal.
+
+    The level is read from the LevelStepper tables of J^k, the largest of
+    the point's entries over the charts, as weight_at reads it for all of
+    krP at once.  A point outside krP raises PointOutsidePolytope: its
+    chart exponents would fall off the box the tables cover.
+    """
+    scale = k * r
+    if any(dot(a, u) < scale * c for a, c in variety.polytope.facets):
+        raise PointOutsidePolytope(
+            "point %r is outside the dilate %dP" % (tuple(u), scale))
     if flag.trivial:
         return 0
-    if flag.mode == "chart":
-        if flag.support != "point":
-            raise UnsupportedMode(
-                "chart-mode counting needs ideals supported at the chart point")
-        y = variety.chart_coords(u, k * r)
-        return level_of_membership(flag, k, y)
-    if not variety.smooth:
-        raise UnsupportedMode("cox-mode counting needs a smooth polytope")
-    e = variety.cox_exponents(u, k * r)
-    rows = _chain_rows(flag, k)
-    best = 0
-    for chart in variety.maximal_charts():
-        lvl = _level_on_chart(rows, e, chart)
-        if lvl is None:
-            return k * flag.big_n
-        best = max(best, lvl)
-    return best
+    return max(table[dot(a, u) - scale * c]
+               for a, c, table in LevelStepper(variety, flag, r).advance(k))
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +398,8 @@ def newton_polyhedron(flag):
     Defined for chart-mode, point-supported flags; the compact facets then
     cut out the region exactly, which is what the integral formulas need.
     """
-    key = (_chain_key(flag), flag.mode, flag.support)
+    key = (flag.nvars, tuple(i.gens for i in flag.chain), flag.mode,
+           flag.support)
     if key in _NP_CACHE:
         return _NP_CACHE[key]
     if flag.trivial:

@@ -56,6 +56,11 @@ class SearchBounds:
             raise InvalidInput("search bounds need %s" % exc) from None
         except (TypeError, ValueError) as exc:
             raise InvalidInput("malformed search bounds: %s" % exc) from None
+        for name, value in (("N_max", bounds.n_max), ("d_max", bounds.d_max),
+                            ("g_max", bounds.g_max)):
+            if value < 1:
+                raise InvalidInput(
+                    "%s must be at least 1, not %d" % (name, value))
         if any(r < 1 for r in bounds.r_list):
             raise InvalidInput("r_list entries must be positive, not %r"
                                % (list(bounds.r_list),))

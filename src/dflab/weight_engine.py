@@ -182,9 +182,8 @@ def weight_at(variety, flag, r, k):
     single fixed chart in chart mode, every maximal chart in cox mode)
     holding the least level of J^k that contains each chart exponent vector
     of krP.  A point's level is the largest of its table entries, each read
-    at one affine functional of the point.  This agrees with summing
-    t_degree over krP, which searches the rows of J^k per point and stays
-    the reference.
+    at one affine functional of the point.  The reference is the literal
+    expansion of J^k in tests/oracles.py, which shares no code with this.
     """
     return weight_sequence(variety, flag, r, (k,))[k]
 

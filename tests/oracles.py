@@ -1,7 +1,7 @@
 """Hand-rolled reference computations used to pin expected values.
 
 Everything here works from first principles: powers of a flag ideal are
-expanded literally into generator lists, lattice points come from
+expanded literally into generator lists (dropping dominated ones), lattice points come from
 explicit inequality scans written per polytope, and polynomial fits go
 through a dense Vandermonde solve.  Nothing is imported from the package
 under test; agreement between these functions and the pipelines is the
@@ -13,7 +13,6 @@ coordinates of a lattice point are the point itself.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 
 # ---------------------------------------------------------------------------
@@ -70,21 +69,23 @@ def power_gens(chain, big_n, k):
     """Generators of the k-th power of I_0 + I_1 t + ... + (t^big_n).
 
     chain lists the generator tuples of each I_j.  A generator of the
-    power is a product of k block generators; the result is the set of
-    (exponent, t-level) pairs, with duplicates removed.
+    power is a product of k block generators, multiplied in one factor at
+    a time; the result is a set of (exponent, t-level) pairs.  After each
+    factor a pair is dropped when another has no larger exponent and no
+    higher level: it never sets a least level, and neither does any
+    product it would go on to make.
     """
-    nvars = len(chain[0][0]) if chain and chain[0] else None
-    blocks = []
-    for j, gens in enumerate(chain):
-        for g in gens:
-            blocks.append((tuple(g), j))
-            nvars = len(g)
+    blocks = [(tuple(g), j) for j, gens in enumerate(chain) for g in gens]
+    nvars = len(blocks[0][0])
     blocks.append((tuple(0 for _ in range(nvars)), big_n))
-    out = set()
-    for combo in combinations_with_replacement(blocks, k):
-        exp = tuple(sum(g[i] for g, _ in combo) for i in range(nvars))
-        lvl = sum(j for _, j in combo)
-        out.add((exp, lvl))
+    out = [(tuple(0 for _ in range(nvars)), 0)]
+    for _ in range(k):
+        prods = {(tuple(a + b for a, b in zip(e, g)), l + j)
+                 for e, l in out for g, j in blocks}
+        out = [p for p in prods
+               if not any(q != p and q[1] <= p[1]
+                          and all(x <= y for x, y in zip(q[0], p[0]))
+                          for q in prods)]
     return sorted(out)
 
 

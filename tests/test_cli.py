@@ -171,6 +171,34 @@ def test_compute_cache_replay(tmp_path, capsys):
     assert json.loads(out2)["report"]["DF"] == "999"
 
 
+def test_table_of_a_replayed_job_matches_the_computed_one(tmp_path, capsys):
+    # m^2 on P^2(2) at r = 2: decomposition.rays holds objects, whose keys
+    # a table rendered from the unsorted envelope would print in another
+    # order than one rendered from the cached, sorted bytes
+    job = {"variety": {"type": "projective_space", "n": 2, "d": 2},
+           "flag_ideal": {"ideals": [{"gens": [[2, 0], [1, 1], [0, 2]]}]},
+           "r": 2}
+    path = write_job(tmp_path, job)
+    argv = ["compute", "--job", path, "--format", "table",
+            "--cache-dir", str(tmp_path / "cache")]
+    code, fresh, _ = run(capsys, argv)
+    assert code == 0
+    assert len(list((tmp_path / "cache").iterdir())) == 1
+    code, replayed, _ = run(capsys, argv)
+    assert code == 0
+    assert "decomposition.rays" in fresh
+    assert replayed == fresh
+
+
+def test_cache_key_hashes_the_package_sources(monkeypatch):
+    key = cli.job_key(COMPUTE_JOB)
+    assert len(cli._source_digest()) == 64
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    assert cli.job_key(COMPUTE_JOB) != key
+    monkeypatch.undo()
+    assert cli.job_key(COMPUTE_JOB) == key
+
+
 def test_compute_cache_of_another_version_is_recomputed(tmp_path, capsys,
                                                         monkeypatch):
     path = write_job(tmp_path, COMPUTE_JOB)
@@ -412,7 +440,12 @@ def test_non_integral_numbers_exit_one(tmp_path, capsys, job):
     {"N_max": 1, "d_max": 2, "g_max": 1, "r_list": [1.5]},
     {"N_max": "1", "d_max": 2, "g_max": 1, "r_list": [1]},
     {"N_max": 1, "d_max": 2, "g_max": 1, "r_list": [1, 0]},
-], ids=["N_max", "d_max", "g_max", "r_list", "string", "r_zero"])
+    {"N_max": -1, "d_max": 2, "g_max": 1, "r_list": [1]},
+    {"N_max": 0, "d_max": 2, "g_max": 1, "r_list": [1]},
+    {"N_max": 1, "d_max": 0, "g_max": 1, "r_list": [1]},
+    {"N_max": 1, "d_max": 2, "g_max": 0, "r_list": [1]},
+], ids=["N_max", "d_max", "g_max", "r_list", "string", "r_zero",
+        "N_max_negative", "N_max_zero", "d_max_zero", "g_max_zero"])
 def test_bad_search_bounds_exit_one(tmp_path, capsys, bounds):
     job = _with(SEARCH_JOB, bounds=bounds)
     code, out, err = run(capsys, ["search", "--job", write_job(tmp_path, job)])

@@ -14,10 +14,10 @@ from dflab import (
     InvalidInput,
     MonomialIdeal,
     NonPositiveExceptionalRay,
+    PointOutsidePolytope,
     UnsupportedMode,
     box,
     cox_lift,
-    graded_piece,
     hirzebruch_anticanonical,
     newton_polyhedron,
     phi_value,
@@ -25,7 +25,7 @@ from dflab import (
     t_degree,
     validate_flag_ideal,
 )
-from dflab.monomial_algebra import level_of_membership, minimalize
+from dflab.monomial_algebra import minimalize
 
 
 def ideal(nvars, *gens):
@@ -174,38 +174,7 @@ def test_cox_chain_check_is_per_chart():
 
 
 # ---------------------------------------------------------------------------
-# graded pieces and levels
-
-def test_graded_piece_examples():
-    j1 = chart_flag(ideal(1, (1,)))
-    assert graded_piece(j1, 2, 1).gens == ((1,),)
-
-    j2 = chart_flag(ideal(1, (2,)))
-    assert graded_piece(j2, 3, 3).is_unit
-
-    j3 = chart_flag(ideal(1, (3,)), ideal(1, (1,)))
-    assert graded_piece(j3, 1, 1).gens == ((1,),)
-
-
-def test_graded_piece_edges():
-    j = chart_flag(ideal(1, (2,)))
-    assert graded_piece(j, 2, -1).is_zero
-    assert graded_piece(j, 2, 99).is_unit
-    t = validate_flag_ideal([MonomialIdeal.zero(1)])
-    assert graded_piece(t, 3, 0).is_unit
-
-
-def test_level_matches_row_scan():
-    flag = chart_flag(ideal(2, (3, 0), (0, 3), (1, 1)), ideal(2, (1, 0), (0, 1)))
-    from dflab.monomial_algebra import _chain_rows
-    for k in (1, 2, 3):
-        rows = _chain_rows(flag, k)
-        for x in range(5):
-            for y in range(5):
-                naive = next(j for j, row in enumerate(rows)
-                             if row.contains((x, y)))
-                assert level_of_membership(flag, k, (x, y)) == naive
-
+# levels
 
 def test_t_degree_examples():
     v1 = projective_space(1, 1)
@@ -282,6 +251,23 @@ def test_trivial_t_degree_is_zero():
     v = projective_space(1, 1)
     t = validate_flag_ideal([MonomialIdeal.zero(1)])
     assert t_degree(v, t, 1, 4, (2,)) == 0
+
+
+def test_t_degree_rejects_points_off_the_dilate():
+    # (3, 0) is in the chart cone of P^2 but not in 2P, where the flat
+    # level table has no cell for it
+    v = projective_space(2, 1)
+    flag = chart_flag(ideal(2, (1, 0), (0, 1)))
+    assert [t_degree(v, flag, 1, 2, (x, 0)) for x in (0, 1, 2)] == [2, 1, 0]
+    for u in ((3, 0), (-1, 0), (2, 1)):
+        with pytest.raises(PointOutsidePolytope):
+            t_degree(v, flag, 1, 2, u)
+    with pytest.raises(PointOutsidePolytope):
+        t_degree(v, validate_flag_ideal([MonomialIdeal.zero(2)]), 1, 2, (3, 0))
+    f1 = hirzebruch_anticanonical()
+    with pytest.raises(PointOutsidePolytope):
+        t_degree(f1, cox_lift(f1, chart_flag(ideal(2, (1, 0), (0, 1)))),
+                 1, 1, (3, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +349,12 @@ def test_newton_polyhedron_respects_symmetry():
 # ---------------------------------------------------------------------------
 # level function properties
 
+# the stock varieties below have the identity chart at the origin, so
+# t_degree reads the level at chart exponents equal to the point
+
+SQUARE_5 = box((5, 5))
+SQUARE_6 = box((6, 6))
+
 small_chain = st.builds(
     lambda a, b, extra: [ideal(2, (a, 0), (0, b), *extra)],
     st.integers(1, 3), st.integers(1, 3),
@@ -374,12 +366,12 @@ small_chain = st.builds(
        st.tuples(st.integers(0, 5), st.integers(0, 5)))
 @settings(max_examples=60, deadline=None)
 def test_level_is_subadditive(chain, k1, k2, u1, u2):
-    # on the chart cone itself, with no polytope membership in the way
+    # kP of the square of side 5 holds every drawn point and their sum
     flag = validate_flag_ideal(chain)
-    g1 = level_of_membership(flag, k1, u1)
-    g2 = level_of_membership(flag, k2, u2)
+    g1 = t_degree(SQUARE_5, flag, 1, k1, u1)
+    g2 = t_degree(SQUARE_5, flag, 1, k2, u2)
     u = tuple(a + b for a, b in zip(u1, u2))
-    assert level_of_membership(flag, k1 + k2, u) <= g1 + g2
+    assert t_degree(SQUARE_5, flag, 1, k1 + k2, u) <= g1 + g2
 
 
 @given(small_chain, st.integers(1, 4),
@@ -387,7 +379,7 @@ def test_level_is_subadditive(chain, k1, k2, u1, u2):
 @settings(max_examples=60, deadline=None)
 def test_level_bounds(chain, k, u):
     flag = validate_flag_ideal(chain)
-    g = level_of_membership(flag, k, u)
+    g = t_degree(SQUARE_6, flag, 1, k, u)
     assert 0 <= g <= k * flag.big_n
     np_ = newton_polyhedron(flag)
     lower = phi_value(np_, tuple(Fraction(t, k) for t in u)) * k
@@ -401,10 +393,11 @@ def test_level_bounds(chain, k, u):
 def test_level_converges_to_support_function(chain):
     flag = validate_flag_ideal([ideal(1, *g) for g in chain])
     np_ = newton_polyhedron(flag)
+    v = projective_space(1, 3)   # kP = [0, 3k] holds k * u
     for u in ((1,), (2,), (3,)):
         target = phi_value(np_, u)
         for k in (4, 6, 8, 10):
-            g = level_of_membership(flag, k, tuple(k * t for t in u))
+            g = t_degree(v, flag, 1, k, tuple(k * t for t in u))
             gap = Fraction(g, k) - target
             assert 0 <= gap <= Fraction(2 * flag.big_n, k)
 
@@ -429,6 +422,46 @@ def test_cox_lift_weight_agreement_p2():
     for k in (1, 2):
         for u in v.lattice_points(k):
             assert t_degree(v, flag, 1, k, u) == t_degree(v, lifted, 1, k, u)
+
+
+LIFT_VARIETIES = [
+    projective_space(1, 2),
+    projective_space(2, 1),
+    box((1, 2)),
+    hirzebruch_anticanonical(),
+    projective_space(3, 1),
+]
+
+
+@st.composite
+def point_supported_chart_flags(draw):
+    """A smooth stock variety and a point-supported chart flag on it: the
+    first ideal holds a pure power of each variable and no unit, and later
+    ones add generators, which may make a trailing unit ideal."""
+    v = draw(st.sampled_from(LIFT_VARIETIES))
+    n = v.dim
+    gens = [tuple(draw(st.integers(1, 4)) if j == i else 0 for j in range(n))
+            for i in range(n)]
+    gens += draw(st.lists(st.tuples(*[st.integers(0, 3)] * n).filter(any),
+                          max_size=2))
+    chain = [gens]
+    for _ in range(draw(st.integers(0, 2))):
+        gens = gens + draw(st.lists(st.tuples(*[st.integers(0, 3)] * n),
+                                    min_size=1, max_size=2))
+        chain.append(gens)
+    return v, validate_flag_ideal([ideal(n, *g) for g in chain])
+
+
+@given(point_supported_chart_flags())
+@settings(max_examples=60, deadline=None)
+def test_cox_lift_keeps_support_and_chain_length(case):
+    # one chart in chart mode, every maximal chart after the lift: the
+    # lifted ideals are units away from the chart vertex
+    v, flag = case
+    assert flag.support == "point"
+    lifted = cox_lift(v, flag)
+    assert lifted.support == flag.support
+    assert lifted.big_n == flag.big_n
 
 
 def test_cox_lift_requires_point_support():

@@ -22,14 +22,12 @@ from dflab.lattice_geometry import (
     make_variety,
     projective_space,
 )
-import dflab.monomial_algebra as ma
 from dflab.monomial_algebra import (
     FlagIdeal,
     LevelStepper,
     MonomialIdeal,
     newton_polyhedron,
     phi_value,
-    t_degree,
     validate_flag_ideal,
 )
 import dflab.weight_engine as we
@@ -175,9 +173,12 @@ def test_weight_pins_on_the_line():
     assert weight_at(v1, flag_of([[(1,)]], 1), 1, 2) == -3
 
 
-# weight_at reads levels from per-chart tables; t_degree is the per-point
-# reference.  Exponents up to 6 reach past the chart box at small k * r.
+# weight_at reads levels from per-chart tables; the literal expansion of
+# J^k in the oracle is the per-point reference.  Exponents up to 6 reach
+# past the chart box at small k * r.
 
+# each has its chart at the origin with the identity frame, so the chart
+# exponents of a lattice point are the point itself
 CHART_VARIETIES = [
     projective_space(1, 1),
     projective_space(2, 2),
@@ -185,11 +186,27 @@ CHART_VARIETIES = [
     projective_space(3, 1),
 ]
 F1 = hirzebruch_anticanonical()
+# cox exponents and maximal charts of F1, in dflab's facet order
+F1_FACETS = F1.polytope.facets
+F1_CHARTS = tuple(
+    tuple(i for i, (a, c) in enumerate(F1_FACETS)
+          if a[0] * v[0] + a[1] * v[1] == c)
+    for v in F1.polytope.vertices)
 
 
 def reference_weight(variety, flag, r, k):
-    return -sum(t_degree(variety, flag, r, k, u)
-                for u in variety.lattice_points(k * r))
+    if flag.trivial:
+        return 0
+    pg = oracles.power_gens([i.gens for i in flag.chain], flag.big_n, k)
+    s = k * r
+    if flag.mode == "chart":
+        return -sum(oracles.level_chart(pg, u)
+                    for u in variety.lattice_points(s))
+    return -sum(
+        oracles.level_cox(
+            pg, tuple(a[0] * u[0] + a[1] * u[1] - s * c for a, c in F1_FACETS),
+            F1_CHARTS)
+        for u in variety.lattice_points(s))
 
 
 @st.composite
@@ -239,8 +256,8 @@ def test_weight_at_matches_t_degree_sum_cox(flag, r, k):
 
 
 # df_counting keeps one LevelStepper and steps its tables from J^(k-1) to
-# J^k; the t_degree sum stays the reference at every k, also when the first
-# k is above 1.  F1 has chart reaches w_i of 2 and 3, so cox exponents up to
+# J^k; the oracle's level sum stays the reference at every k, also when the
+# first k is above 1.  F1 has chart reaches w_i of 2 and 3, so cox exponents up to
 # 6 mostly reach past the box side r * w_i that krP needs (D_i > r * w_i).
 
 def rigid_curve_gen(e):
@@ -284,12 +301,8 @@ def test_df_counting_steps_each_k_once(monkeypatch):
         weights[scale] = weight(tables, scale, points)
         return weights[scale]
 
-    def no_rows(flag, k):
-        raise AssertionError("the counting hot path built rows of J^k")
-
     monkeypatch.setattr(LevelStepper, "step", counted_step)
     monkeypatch.setattr(we, "_weight", recorded_weight)
-    monkeypatch.setattr(ma, "_chain_rows", no_rows)
     report = df_counting(F1, PAST_THE_BOX, 1, FitOptions(window=(3, 9)))
     monkeypatch.undo()
     # the oracle numbers the facets of F1 in another order
