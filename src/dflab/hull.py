@@ -1,7 +1,10 @@
 """Exact convex-hull primitives by exhaustive subset enumeration.
 
 Point counts here are small (tens, not thousands), so facets are found by
-testing every d-subset for a supporting hyperplane.  Everything else is
+testing every d-subset for a supporting hyperplane, its normal being the
+integer cofactor vector of the subset (integer points build no
+Fraction); a subset inside a facet already found is skipped, since it
+spans that facet's hyperplane or none.  Everything else is
 read from those facets: a set of affine rank m is first projected onto m
 coordinates on which that rank survives (an affine isomorphism on its
 affine hull, integer points staying integer), its vertices are the points
@@ -19,7 +22,8 @@ from itertools import combinations
 from math import factorial
 
 from .errors import InvalidInput
-from .intlinalg import det, dot, hyperplane_normal, rank, rref, solve_unique
+from .intlinalg import (
+    det, dot, hyperplane_normal, pivot_columns, rank, solve_unique)
 
 
 @dataclass(frozen=True)
@@ -33,7 +37,7 @@ def _rank_coords(points):
     """Coordinates on which the affine rank of points survives; projecting
     onto them is an affine isomorphism on the affine hull of points."""
     p0 = points[0]
-    return rref([[x - y for x, y in zip(p, p0)] for p in points[1:]])[1]
+    return pivot_columns([[x - y for x, y in zip(p, p0)] for p in points[1:]])
 
 
 def facets_of_points(points, strictly_positive=False):
@@ -53,24 +57,27 @@ def facets_of_points(points, strictly_positive=False):
             out.append(Facet((-1,), -hi, ((hi,),)))
         return out
     seen = {}
+    # a subset inside a facet found already spans its hyperplane or none
+    done = set()
     for sub in combinations(points, d):
+        if sub in done:
+            continue
         w0 = hyperplane_normal(sub)
         if w0 is None:
             continue
         c0 = dot(w0, sub[0])
+        vals = [dot(w0, p) for p in points]
         # try both orientations; if the points are not full-dimensional both
         # can support, and only the strictly positive one matters then
-        for w, c in ((w0, c0), (tuple(-x for x in w0), -c0)):
-            if not all(dot(w, p) >= c for p in points):
+        for w, c, ok in ((w0, c0, min(vals) >= c0),
+                         (tuple(-x for x in w0), -c0, max(vals) <= c0)):
+            if not ok:
                 continue
             if strictly_positive and not all(x > 0 for x in w):
                 continue
-            key = (w, c)
-            if key in seen:
-                continue
-            on = tuple(p for p in points if dot(w, p) == c)
-            if len(_rank_coords(on)) == d - 1:
-                seen[key] = Facet(w, c, on)
+            on = tuple(p for p, v in zip(points, vals) if v == c0)
+            seen[w, c] = Facet(w, c, on)
+            done.update(combinations(on, d))
     return [seen[k] for k in sorted(seen)]
 
 

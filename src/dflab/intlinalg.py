@@ -1,8 +1,11 @@
 """Small exact linear-algebra kit over integers and rationals.
 
 Everything works on plain ints and fractions.Fraction; no floats enter or
-leave.  Sizes are tiny (ambient dimension at most a handful), so clarity
-wins over asymptotics throughout.
+leave.  Hyperplane normals are integer cofactor vectors and pivot columns
+come from integer elimination, rows with Fraction entries being scaled to
+integer ones first, so the facet search builds no Fraction; Fraction row
+reduction is left to solve_unique.  Sizes are tiny (ambient dimension at
+most a handful), so clarity wins over asymptotics throughout.
 """
 
 from __future__ import annotations
@@ -10,14 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-
-
-def primitive(v):
-    """Divide an integer vector by the gcd of its entries."""
-    g = gcd(*map(int, v))
-    if g == 0:
-        raise ValueError("zero vector has no primitive representative")
-    return tuple(int(x) // g for x in v)
 
 
 def dot(a, b):
@@ -48,11 +43,37 @@ def rref(rows, width=None):
     return m, pivots
 
 
+def _int_rows(rows):
+    """rows scaled by the lcm of their denominators: integer rows with the
+    same span, so the same pivot columns and hyperplane normal."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * den) for x in row] for row in rows]
+
+
+def pivot_columns(rows):
+    """Pivot columns of the row echelon form of rows, the same as rref's,
+    by integer elimination: each row is cross-multiplied with the pivot
+    row and divided by the gcd of its entries."""
+    m = _int_rows(rows)
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i, row in enumerate(m) if row[c]), None)
+        if pr is None:
+            continue
+        piv = m.pop(pr)
+        p = piv[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f:
+                row = [p * a - f * b for a, b in zip(row, piv)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+    return pivots
+
+
 def rank(rows):
-    rows = [row for row in rows if any(x != 0 for x in row)]
-    if not rows:
-        return 0
-    return len(rref(rows)[1])
+    return len(pivot_columns(rows))
 
 
 def det(rows):
@@ -98,34 +119,35 @@ def solve_unique(columns, b):
     return tuple(sol)
 
 
-def nullspace_primitive(rows, dim):
-    """Primitive integer generator of a one-dimensional rational nullspace.
-
-    ``rows`` is a matrix with ``dim`` columns; returns None unless its rank
-    is exactly dim - 1.
-    """
-    rows = [row for row in rows if any(x != 0 for x in row)]
-    if not rows:
-        if dim != 1:
-            return None
-        return (1,)
-    red, pivots = rref(rows)
-    if len(pivots) != dim - 1:
-        return None
-    free = next(c for c in range(dim) if c not in pivots)
-    v = [Fraction(0)] * dim
-    v[free] = Fraction(1)
-    for r, c in enumerate(pivots):
-        v[c] = -red[r][free]
-    den = lcm(*(x.denominator for x in v))
-    return primitive([int(x * den) for x in v])
+def _det(rows):
+    """Integer determinant by cofactor expansion along the first row; the
+    matrices here are at most 4 x 4."""
+    if len(rows) < 2:
+        return rows[0][0] if rows else 1
+    if len(rows) == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
 
 
 def hyperplane_normal(points):
-    """Primitive normal of the affine hyperplane through points, or None."""
+    """Primitive normal of the affine hyperplane through d points of R^d,
+    or None when they span no hyperplane.
+
+    The normal is the cofactor vector of the d - 1 difference rows, the
+    entry i being (-1)^i times the minor without column i, divided by its
+    gcd and signed so that its last nonzero entry is positive.
+    """
     p0 = points[0]
-    diffs = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
-    return nullspace_primitive(diffs, len(p0))
+    rows = _int_rows([[x - y for x, y in zip(p, p0)] for p in points[1:]])
+    n = [(-1) ** i * _det([r[:i] + r[i + 1:] for r in rows])
+         for i in range(len(p0))]
+    g = gcd(*n)
+    if g == 0:
+        return None
+    if next(x for x in reversed(n) if x) < 0:
+        g = -g
+    return tuple(x // g for x in n)
 
 
 def integer_inverse(rows):

@@ -78,10 +78,6 @@ class PolarizedToricVariety:
             scale * v0[i] + sum(self.edge_directions[j][i] * y[j] for j in range(n))
             for i in range(n))
 
-    def cox_exponents(self, u, scale):
-        """Per-facet exponents of the degree-scale monomial at lattice point u."""
-        return tuple(dot(a, u) - scale * c for a, c in self.polytope.facets)
-
     def maximal_charts(self):
         """For each vertex, the indices of facets through it (its chart)."""
         out = []

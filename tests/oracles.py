@@ -13,6 +13,8 @@ coordinates of a lattice point are the point itself.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +62,85 @@ def eval_poly(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Fraction row reduction and the exhaustive facet search over it
+
+def rref(rows):
+    """Reduced row echelon form over Fraction: (rows, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def nullspace_primitive(rows, dim):
+    """Primitive integer generator of a one-dimensional nullspace, read off
+    the reduced rows with the free entry 1; None unless rank is dim - 1."""
+    rows = [row for row in rows if any(x != 0 for x in row)]
+    if not rows:
+        return (1,) if dim == 1 else None
+    red, pivots = rref(rows)
+    if len(pivots) != dim - 1:
+        return None
+    free = next(c for c in range(dim) if c not in pivots)
+    v = [Fraction(0)] * dim
+    v[free] = Fraction(1)
+    for r, c in enumerate(pivots):
+        v[c] = -red[r][free]
+    den = lcm(*(x.denominator for x in v))
+    w = [int(x * den) for x in v]
+    g = gcd(*w)
+    return tuple(x // g for x in w)
+
+
+def hyperplane_normal(points):
+    p0 = points[0]
+    diffs = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
+    return nullspace_primitive(diffs, len(p0))
+
+
+def facets_of_points(points, strictly_positive=False):
+    """(normal, offset, points on it) for each facet of conv(points): for
+    d >= 2 every d-subset with a hyperplane is tried in both orientations, and a
+    supporting one is kept if the points on it have affine rank d - 1."""
+    points = sorted(set(tuple(p) for p in points))
+    d = len(points[0])
+    if d == 1:
+        lo, hi = points[0][0], points[-1][0]
+        out = [((1,), lo, ((lo,),))]
+        return out if strictly_positive else out + [((-1,), -hi, ((hi,),))]
+    seen = {}
+    for sub in combinations(points, d):
+        w0 = hyperplane_normal(sub)
+        if w0 is None:
+            continue
+        c0 = sum(a * x for a, x in zip(w0, sub[0]))
+        for w, c in ((w0, c0), (tuple(-x for x in w0), -c0)):
+            vals = [sum(a * x for a, x in zip(w, p)) for p in points]
+            if min(vals) < c or (strictly_positive and min(w) <= 0):
+                continue
+            on = tuple(p for p, v in zip(points, vals) if v == c)
+            diffs = [[x - y for x, y in zip(p, on[0])] for p in on[1:]]
+            if (w, c) not in seen and len(rref(diffs)[1]) == d - 1:
+                seen[(w, c)] = (w, c, on)
+    return [seen[k] for k in sorted(seen)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,19 @@
 
 from math import factorial
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dflab.hull as hull
+import dflab.intlinalg as intlinalg
+import oracles
 from dflab.errors import InvalidInput
 from dflab.hull import (
     extreme_points,
+    facets_of_points,
     lattice_volume,
     point_in_convex_hull,
     volume_of_points,
@@ -60,6 +65,67 @@ def test_extreme_points_match_caratheodory_reference(case):
     verts = extreme_points(pts)
     assert verts == expected
     assert volume_of_points(pts, d) == volume_of_points(verts, d)
+
+
+@st.composite
+def facet_inputs(draw):
+    """(points, strictly_positive) in R^d, d = 1..4: random points; points
+    of a small grid, many of them on one facet; points on an affine
+    subspace of lower dimension; or any of these divided by 2, 3 or 6."""
+    d = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["random", "grid", "flat"]))
+    if shape == "random":
+        pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=9))
+    elif shape == "grid":
+        pts = draw(st.lists(st.tuples(*[st.integers(0, 2)] * d),
+                            min_size=1, max_size=11))
+    else:
+        span = draw(st.integers(0, d - 1))
+        p0 = draw(st.tuples(*[coord] * d))
+        dirs = draw(st.lists(st.tuples(*[coord] * d),
+                             min_size=span, max_size=span))
+        steps = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * span),
+                              min_size=1, max_size=9))
+        pts = [tuple(x + sum(s * v[i] for s, v in zip(step, dirs))
+                     for i, x in enumerate(p0))
+               for step in steps]
+    q = draw(st.sampled_from([1, 1, 2, 3, 6]))
+    if q > 1:
+        pts = [tuple(Fraction(x, q) for x in p) for p in pts]
+    return pts, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(facet_inputs())
+# the cube of side 2 with its face centres: six square facets of 5 points
+@example(([(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
+          + [(1, 1, 0), (1, 1, 2), (1, 0, 1), (1, 2, 1), (0, 1, 1), (2, 1, 1)],
+          False))
+# a staircase plus orthant rays, as newton_polyhedron passes it
+@example(([(0, 3), (1, 1), (3, 0), (0, 9), (9, 0), (9, 9), (1, 9), (9, 1)],
+          True))
+# a plane in R^3: both orientations support it
+@example(([(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2)], False))
+def test_facets_match_the_exhaustive_fraction_search(case):
+    pts, strictly_positive = case
+    got = facets_of_points(pts, strictly_positive=strictly_positive)
+    assert [(f.normal, f.offset, f.points) for f in got] == \
+        oracles.facets_of_points(pts, strictly_positive)
+
+
+def test_facets_of_integer_points_build_no_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(intlinalg, "Fraction", no_fraction)
+    monkeypatch.setattr(hull, "Fraction", no_fraction)
+    octahedron = [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
+                  (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1),
+                  (0, 0, 0, 0)]
+    assert len(facets_of_points(octahedron)) == 16
+    assert lattice_volume([(0, 0, 2), (2, 0, 0), (0, 2, 0), (1, 1, 0)],
+                          (1, 1, 1)) == 4
+    assert extreme_points(octahedron) == sorted(octahedron[:-1])
 
 
 # ---------------------------------------------------------------------------

