@@ -118,8 +118,9 @@ def hyperplane_normal(points):
 
 def facets_of_points(points, strictly_positive=False):
     """(normal, offset, points on it) for each facet of conv(points): for
-    d >= 2 every d-subset with a hyperplane is tried in both orientations, and a
-    supporting one is kept if the points on it have affine rank d - 1."""
+    d >= 2 every d-subset with a hyperplane is tried in both orientations,
+    and a supporting one is kept if the points on it have affine rank
+    d - 1."""
     points = sorted(set(tuple(p) for p in points))
     d = len(points[0])
     if d == 1:

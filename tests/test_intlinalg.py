@@ -30,8 +30,9 @@ def point_tuples(draw):
         p0 = pts[0]
         coeffs = draw(st.lists(st.sampled_from([-2, -1, Fraction(1, 2), 1, 2]),
                                min_size=d - 2, max_size=d - 2))
-        pts[-1] = tuple(x + sum(a * (p[i] - x) for a, p in zip(coeffs, pts[1:]))
-                        for i, x in enumerate(p0))
+        pts[-1] = tuple(
+            x + sum(a * (p[i] - x) for a, p in zip(coeffs, pts[1:-1]))
+            for i, x in enumerate(p0))
     return pts, dependent
 
 
