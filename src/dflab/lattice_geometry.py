@@ -49,7 +49,7 @@ class PolarizedToricVariety:
         return _lattice_points(self.polytope, k)
 
     def ehrhart_count(self, k):
-        return len(self.lattice_points(k))
+        return sum(hi - lo + 1 for _, lo, hi in fibres(self.polytope, k))
 
     def intersection_numbers(self):
         """(L^n, L^(n-1).K) for the polarization L and canonical divisor K."""
@@ -96,13 +96,16 @@ class PolarizedToricVariety:
         return tuple(normals.index(row) for row in self.chart_matrix)
 
 
-def _lattice_points(poly, k):
-    """Lattice points of kP in lexicographic order, fibre by fibre.
+def fibres(poly, k):
+    """The lattice points of kP as fibres (p, lo, hi) over the prefixes p of
+    their first n-1 coordinates: the points are p + (x,) for lo <= x <= hi.
 
     The box over the first n-1 coordinates is walked in lexicographic
     order; over each prefix p, a facet <a, u> >= k c bounds the last
     coordinate by a_n u_n >= k c - <a', p>, from below when a_n > 0 and
     from above when a_n < 0, and passes or empties the fibre when a_n = 0.
+    Empty fibres are left out, so the list runs through kP in lexicographic
+    order.
     """
     lows = [min(v[i] for v in poly.vertices) * k for i in range(poly.dim)]
     highs = [max(v[i] for v in poly.vertices) * k for i in range(poly.dim)]
@@ -116,8 +119,15 @@ def _lattice_points(poly, k):
         # ceil(m / t) == -(-m // t) for t > 0; floor(m / t) == m // t
         lo = max([lows[-1]] + [-((dot(a, p) - c) // t) for a, c, t in below])
         hi = min([highs[-1]] + [(c - dot(a, p)) // t for a, c, t in above])
-        out += [p + (x,) for x in range(lo, hi + 1)]
+        if lo <= hi:
+            out.append((p, lo, hi))
     return out
+
+
+def _lattice_points(poly, k):
+    """Lattice points of kP in lexicographic order, read off fibres."""
+    return [p + (x,) for p, lo, hi in fibres(poly, k)
+            for x in range(lo, hi + 1)]
 
 
 def _intersection_numbers(poly):

@@ -295,11 +295,7 @@ class LevelStepper:
             strides = _strides(shape)
             last = shape[-1]
             new = [x + self.big_n for x in old]
-            shifted = {0: old}
             for g, j in ch.moves:
-                if j not in shifted:
-                    shifted[j] = [x + j for x in old]
-                src = shifted[j]
                 off = dot(strides, g)
                 # the rows whose cells y have y >= g off the last axis
                 rows = [0]
@@ -308,7 +304,8 @@ class LevelStepper:
                             for i in range(x, m)]
                 for row in rows:
                     lo, hi = row + g[-1], row + last
-                    new[lo:hi] = map(min, new[lo:hi], src[lo - off:hi - off])
+                    new[lo:hi] = [x if x <= y + j else y + j for x, y in
+                                  zip(new[lo:hi], old[lo - off:hi - off])]
             ch.shape, ch.table = shape, new
 
     def advance(self, k):

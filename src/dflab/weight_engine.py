@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from math import factorial
-from operator import add, mul
 
 from .errors import (
     ConsistencyError,
@@ -28,6 +26,7 @@ from .errors import (
     UnsupportedMode,
 )
 from .intlinalg import dot
+from .lattice_geometry import fibres
 from .monomial_algebra import (
     LevelStepper,
     newton_polyhedron,
@@ -98,6 +97,13 @@ def fit_polynomial(samples, max_degree, guard=2):
     ``guard`` trailing windows; the polynomial is then interpolated from
     the last max_degree+1 samples and checked against every sample from
     the first stabilized index onward.
+
+    The interpolant is Newton's forward form over the last d+1 samples,
+    d = max_degree, times d!: with integer samples its coefficients are
+    integer numerators over d!, samples v are checked by Horner evaluation
+    of the numerators against v * d!, and Fractions are built only for the
+    returned coefficients.  The Fraction Lagrange fit in tests/oracles.py
+    is the reference.
     """
     ks = sorted(samples)
     if ks != list(range(ks[0], ks[0] + len(ks))):
@@ -107,9 +113,11 @@ def fit_polynomial(samples, max_degree, guard=2):
     if len(ks) < need:
         raise NotStabilized(
             "need at least %d consecutive samples for degree %d" % (need, d))
-    values = [Fraction(samples[k]) for k in ks]
-    diffs = values
+    diffs = [samples[k] for k in ks]
+    # the i-th differences at the first of the last d + 1 samples
+    heads = []
     for _ in range(d + 1):
+        heads.append(diffs[len(ks) - d - 1])
         diffs = _forward_diffs(diffs)
     trailing = 0
     for x in reversed(diffs):
@@ -126,50 +134,30 @@ def fit_polynomial(samples, max_degree, guard=2):
         raise NotStabilized(
             "high-order differences of the samples have not vanished yet",
             hint="extend_k_range")
-    # first index from which the polynomial model already holds
+    # first index from which the polynomial model holds; the window just
+    # before it does not vanish, so the sample at k0 - 1 is off the model
     k0 = ks[len(diffs) - trailing]
-    nodes = ks[-(d + 1):]
-    poly = _lagrange(nodes, values[-(d + 1):])
-    for k, v in zip(ks, values):
-        if k >= k0 and poly(k) != v:
+    # d! times the Newton form: the sum over i of heads[i] * d!/i! times
+    # (x - s)(x - s - 1)...(x - s - i + 1), s = ks[-(d + 1)], expanded
+    # from the innermost term outward
+    scale = factorial(d)
+    nums = [heads[d]]
+    for i in range(d - 1, -1, -1):
+        m = ks[-(d + 1)] + i
+        nums = [a - m * b for a, b in zip([0] + nums, nums + [0])]
+        nums[0] += heads[i] * (scale // factorial(i))
+    for k in range(k0, ks[-1] + 1):
+        acc = 0
+        for c in reversed(nums):
+            acc = acc * k + c
+        if acc != samples[k] * scale:
             raise NotStabilized(
                 "interpolant disagrees with sample at k=%d" % k,
                 hint="extend_k_range")
-    # also demand agreement on the guard window before k0 shrinks further
-    while k0 > ks[0] and poly(k0 - 1) == samples[k0 - 1]:
-        k0 -= 1
-    coeffs = list(poly.coeffs)
+    coeffs = [Fraction(c, scale) for c in nums]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return ExactPolynomial(tuple(coeffs), k0)
-
-
-def _lagrange(nodes, values):
-    """Exact Lagrange interpolation through (nodes[i], values[i])."""
-    m = len(nodes)
-    coeffs = [Fraction(0)] * m
-    for i in range(m):
-        # numerator polynomial prod_{j != i} (x - nodes[j])
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j in range(m):
-            if j == i:
-                continue
-            num = _poly_mul_linear(num, -Fraction(nodes[j]))
-            den *= Fraction(nodes[i] - nodes[j])
-        w = Fraction(values[i]) / den
-        for p in range(len(num)):
-            coeffs[p] += w * num[p]
-    return ExactPolynomial(tuple(coeffs), min(nodes))
-
-
-def _poly_mul_linear(coeffs, c0):
-    """Multiply the coefficient list by (x + c0)."""
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for i, a in enumerate(coeffs):
-        out[i] += a * c0
-        out[i + 1] += a
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -182,31 +170,37 @@ def weight_at(variety, flag, r, k):
     single fixed chart in chart mode, every maximal chart in cox mode)
     holding the least level of J^k that contains each chart exponent vector
     of krP.  A point's level is the largest of its table entries, each read
-    at one affine functional of the point.  The reference is the literal
-    expansion of J^k in tests/oracles.py, which shares no code with this.
+    at one affine functional of the point; over a fibre of krP each chart's
+    entries are one stepped slice of its table (see _weight), so no point
+    is built.  The reference is the literal expansion of J^k in
+    tests/oracles.py, which shares no code with this.
     """
     return weight_sequence(variety, flag, r, (k,))[k]
 
 
-def _values(a, columns, shift):
-    """<a, u> + shift for every point u, given the coordinate columns of the
-    points: one pass over a column per nonzero entry of a, with no call per
-    point."""
-    out = [shift] * len(columns[0]) if columns else []
-    for x, col in zip(a, columns):
-        if x:
-            out = list(map(add, out, map(mul, repeat(x), col)))
-    return out
+def _weight(tables, scale, fibres):
+    """weight_at from the level tables of J^k, on the fibres (p, lo, hi) of
+    krP, scale = k * r.
 
-
-def _weight(tables, scale, points):
-    """weight_at from the level tables of J^k, on the already enumerated
-    lattice points of krP, scale = k * r."""
-    columns = list(zip(*points))
+    Over a fibre the flat index <A, u> - scale * C of a chart is b + a * x
+    for lo <= x <= hi, with a = A[-1] and b = <A', p> - scale * C, so the
+    chart's levels along the fibre are the slice of its table with step a:
+    read backwards and reversed when a < 0, one cell repeated when a = 0.
+    Each point's level is the largest over the charts."""
     levels = None
-    for a, c, table in tables:
-        col = list(map(table.__getitem__, _values(a, columns, -scale * c)))
-        levels = col if levels is None else list(map(max, levels, col))
+    for weights, c, table in tables:
+        head, a = weights[:-1], weights[-1]
+        col = []
+        for p, lo, hi in fibres:
+            b = dot(head, p) - scale * c
+            if a > 0:
+                col += table[b + a * lo:b + a * hi + 1:a]
+            elif a < 0:
+                col += table[b + a * hi:b + a * lo + 1:-a][::-1]
+            else:
+                col += [table[b]] * (hi - lo + 1)
+        levels = col if levels is None else \
+            [x if x >= y else y for x, y in zip(levels, col)]
     return -sum(levels)
 
 
@@ -218,7 +212,7 @@ def weight_sequence(variety, flag, r, ks):
         return {k: 0 for k in ks}
     stepper = LevelStepper(variety, flag, r)
     return {k: _weight(stepper.advance(k), k * r,
-                       variety.lattice_points(k * r)) for k in sorted(ks)}
+                       fibres(variety.polytope, k * r)) for k in sorted(ks)}
 
 
 def closure_weight_at(variety, flag, r, k):
@@ -236,7 +230,7 @@ def closure_weight_at(variety, flag, r, k):
     ceil(k * phi_value(np, y / k)), which stays the per-point reference.
     """
     return _closure_weight(_closure_functionals(variety, flag, r), k,
-                           variety.lattice_points(k * r))
+                           fibres(variety.polytope, k * r))
 
 
 def _closure_functionals(variety, flag, r):
@@ -258,17 +252,25 @@ def _closure_functionals(variety, flag, r):
     return out
 
 
-def _closure_weight(funcs, k, points):
-    """closure_weight_at from _closure_functionals, on the already
-    enumerated lattice points of krP."""
-    columns = list(zip(*points))
-    levels = [0] * len(points)
+def _closure_weight(funcs, k, fibres):
+    """closure_weight_at from _closure_functionals, on the fibres
+    (p, lo, hi) of krP: along a fibre each functional's ceiling runs over
+    one arithmetic progression in the last coordinate."""
+    levels = [0] * sum(hi - lo + 1 for _, lo, hi in fibres)
     for a, c, t in funcs:
-        # ceil(m / t) == (m + t - 1) // t for t > 0, and
-        # -v // t == (top - <a, u>) // t for v = <a, u> - top
+        head, an = a[:-1], a[-1]
+        # ceil(m / t) == (m + t - 1) // t for t > 0, so the level of
+        # u = p + (x,) is (top - <a', p> - an * x) // t
         top = k * c + t - 1
-        levels = list(map(max, levels, [-v // t for v in
-                                         _values(a, columns, -top)]))
+        col = []
+        for p, lo, hi in fibres:
+            m = top - dot(head, p)
+            if an:
+                col += range(m - an * lo, m - an * (hi + 1), -an)
+            else:
+                col += [m] * (hi - lo + 1)
+        levels = [x if x >= (y := v // t) else y
+                  for x, v in zip(levels, col)]
     return -sum(levels)
 
 
@@ -465,10 +467,11 @@ def df_counting(variety, flag, r, options=None):
         report.checks = _check_battery(variety, flag, r, zero, hpoly)
         return report
     _semiample_note = _semiample_precheck(variety, flag, r)
-    # one enumeration of krP per sample k feeds the weight, the Hilbert
-    # count and, for point-supported chart flags, the closure weight; only
-    # the integers are kept across samples.  The fit samples consecutive k,
-    # so one stepper builds the level tables of J^k from those of J^(k-1).
+    # one enumeration of krP per sample k, fibre by fibre, feeds the weight,
+    # the Hilbert count and, for point-supported chart flags, the closure
+    # weight; only the integers are kept across samples.  The fit samples
+    # consecutive k, so one stepper builds the level tables of J^k from
+    # those of J^(k-1).
     closure = flag.mode == "chart" and flag.support == "point"
     funcs = _closure_functionals(variety, flag, r) if closure else None
     stepper = LevelStepper(variety, flag, r)
@@ -476,11 +479,11 @@ def df_counting(variety, flag, r, options=None):
     closure_samples = {}
 
     def sample(k):
-        points = variety.lattice_points(k * r)
-        counts[k] = len(points)
+        fib = fibres(variety.polytope, k * r)
+        counts[k] = sum(hi - lo + 1 for _, lo, hi in fib)
         if closure:
-            closure_samples[k] = _closure_weight(funcs, k, points)
-        return _weight(stepper.advance(k), k * r, points)
+            closure_samples[k] = _closure_weight(funcs, k, fib)
+        return _weight(stepper.advance(k), k * r, fib)
 
     wpoly, wsamples = _fit_with_extension(sample, n + 1, options, n)
     hpoly, _ = _fit_with_extension(

@@ -3,9 +3,10 @@
 Everything here works from first principles: powers of a flag ideal are
 expanded literally into generator lists (dropping dominated ones), lattice points come from
 explicit inequality scans written per polytope, and polynomial fits go
-through a dense Vandermonde solve.  Nothing is imported from the package
-under test; agreement between these functions and the pipelines is the
-point of the comparisons, so the two sides must not share code.
+through a dense Vandermonde solve or Fraction Lagrange interpolation.
+Nothing is imported from the package under test; agreement between these
+functions and the pipelines is the point of the comparisons, so the two
+sides must not share code.
 
 Chart-coordinate conventions: every stock polytope used here has its
 chart at the origin with the standard basis as edge frame, so the chart
@@ -62,6 +63,103 @@ def eval_poly(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+# ---------------------------------------------------------------------------
+# the eventual-polynomial fit by Fraction Lagrange interpolation
+
+def _forward_diffs(values):
+    return [b - a for a, b in zip(values, values[1:])]
+
+
+def _poly_mul_linear(coeffs, c0):
+    """Multiply the coefficient list by (x + c0)."""
+    out = [Fraction(0)] * (len(coeffs) + 1)
+    for i, a in enumerate(coeffs):
+        out[i] += a * c0
+        out[i + 1] += a
+    return out
+
+
+def lagrange(nodes, values):
+    """Coefficients (lowest first) of the Lagrange interpolant through
+    (nodes[i], values[i]), over Fraction."""
+    m = len(nodes)
+    coeffs = [Fraction(0)] * m
+    for i in range(m):
+        # numerator polynomial prod_{j != i} (x - nodes[j])
+        num = [Fraction(1)]
+        den = Fraction(1)
+        for j in range(m):
+            if j == i:
+                continue
+            num = _poly_mul_linear(num, -Fraction(nodes[j]))
+            den *= Fraction(nodes[i] - nodes[j])
+        w = Fraction(values[i]) / den
+        for p in range(len(num)):
+            coeffs[p] += w * num[p]
+    return coeffs
+
+
+def quasi_period(samples, max_degree):
+    """Least q in (2, 3, 4) such that each residue class of the sample
+    index mod q follows its own polynomial of degree <= max_degree."""
+    ks = sorted(samples)
+    for q in (2, 3, 4):
+        ok = True
+        for r in range(q):
+            sub = [samples[k] for k in ks if k % q == r]
+            if len(sub) < max_degree + 3:
+                ok = False
+                break
+            for _ in range(max_degree + 1):
+                sub = _forward_diffs(sub)
+            if any(d != 0 for d in sub):
+                ok = False
+                break
+        if ok:
+            return q
+    return None
+
+
+def fit_outcome(samples, max_degree, guard=2):
+    """The eventual-polynomial fit over Fraction, as an outcome tuple:
+    ("fit", coefficients lowest first without trailing zeros, k0) or
+    ("not_stabilized", hint, quasi period).  Raises ValueError when the
+    samples skip an integer.  The fit needs the (max_degree+1)-th forward
+    differences to vanish on ``guard`` trailing windows, interpolates the
+    last max_degree+1 samples and checks every sample from the first
+    stabilized index; k0 then moves down while the samples still agree."""
+    ks = sorted(samples)
+    if ks != list(range(ks[0], ks[0] + len(ks))):
+        raise ValueError("samples must cover consecutive integers")
+    d = max_degree
+    if len(ks) < d + 2 + guard:
+        return ("not_stabilized", "extend_k_range", None)
+    values = [Fraction(samples[k]) for k in ks]
+    diffs = values
+    for _ in range(d + 1):
+        diffs = _forward_diffs(diffs)
+    trailing = 0
+    for x in reversed(diffs):
+        if x != 0:
+            break
+        trailing += 1
+    if trailing < guard:
+        q = quasi_period(samples, d)
+        if q is not None:
+            return ("not_stabilized", "quasi_polynomial", q)
+        return ("not_stabilized", "extend_k_range", None)
+    k0 = ks[len(diffs) - trailing]
+    coeffs = lagrange(ks[-(d + 1):], values[-(d + 1):])
+    for k, v in zip(ks, values):
+        if k >= k0 and eval_poly(coeffs, k) != v:
+            return ("not_stabilized", "extend_k_range", None)
+    while k0 > ks[0] and eval_poly(coeffs, k0 - 1) == samples[k0 - 1]:
+        k0 -= 1
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return ("fit", tuple(coeffs), k0)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +286,34 @@ def level_cox(pgens, exps, charts):
 
 # ---------------------------------------------------------------------------
 # lattice point scans for the stock polytopes
+
+def prefix_walk_points(poly, k):
+    """Lattice points of kP in lexicographic order, one prefix of the first
+    n-1 coordinates at a time: each facet <a, u> >= k c bounds the last
+    coordinate from below (a_n > 0) or above (a_n < 0), or keeps or drops
+    the whole prefix (a_n = 0).  poly needs .dim, .vertices and .facets."""
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    lows = [min(v[i] for v in poly.vertices) * k for i in range(poly.dim)]
+    highs = [max(v[i] for v in poly.vertices) * k for i in range(poly.dim)]
+    prefixes = [()]
+    for lo, hi in zip(lows[:-1], highs[:-1]):
+        prefixes = [p + (x,) for p in prefixes for x in range(lo, hi + 1)]
+    out = []
+    for p in prefixes:
+        lo, hi = lows[-1], highs[-1]
+        for a, c in poly.facets:
+            m = k * c - dot(a[:-1], p)
+            if a[-1] > 0:
+                lo = max(lo, -(-m // a[-1]))
+            elif a[-1] < 0:
+                hi = min(hi, m // a[-1])
+            elif m > 0:
+                hi = lo - 1
+        out += [p + (x,) for x in range(lo, hi + 1)]
+    return out
+
 
 def simplex_points(n, d, k):
     """Points of k * (d * standard simplex) in dimension n."""

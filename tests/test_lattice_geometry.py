@@ -23,7 +23,11 @@ from dflab import (
 )
 from dflab.hull import extreme_points, volume_of_points
 from dflab.intlinalg import dot
-from dflab.lattice_geometry import _intersection_numbers, _lattice_points
+from dflab.lattice_geometry import (
+    _intersection_numbers,
+    _lattice_points,
+    fibres,
+)
 
 
 def test_segment_descriptor():
@@ -124,18 +128,23 @@ def box_filter(poly, k):
             if all(dot(a, u) >= k * c for a, c in poly.facets)]
 
 
-def polytope_of(points):
-    """The polytope of make_variety on the hull vertices of points, charted
-    at the first vertex it accepts; None when it accepts none."""
+def variety_of(points):
+    """make_variety on the hull vertices of points, charted at the first
+    vertex it accepts; None when it accepts none."""
     verts = extreme_points(sorted(set(points)))
     for chart in verts:
         try:
-            return make_variety(verts, chart).polytope
+            return make_variety(verts, chart)
         except NonUnimodularChartVertex:
             continue
         except InvalidInput:
             return None
     return None
+
+
+def polytope_of(points):
+    v = variety_of(points)
+    return None if v is None else v.polytope
 
 
 # a facet with last normal entry 0 passes or empties a whole fibre
@@ -168,6 +177,40 @@ def test_flat_facet_examples_have_a_flat_facet():
     for points in FLAT_FACETS:
         poly = polytope_of(points)
         assert any(a[-1] == 0 for a, c in poly.facets)
+
+
+# fibres lists kP as (prefix, lo, hi) with no empty fibre; expanded, it must
+# be the prefix walk of oracles.prefix_walk_points, order included.  The
+# FLAT_FACETS have facets with last normal entry 0; the triangle has none,
+# but bounds the last coordinate from below and from above and has no
+# lattice point over the prefixes 0 and 1.
+EMPTY_FIBRE = [(-2, 1), (-1, 1), (2, 0)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(point_sets))
+@example(FLAT_FACETS[0])
+@example(FLAT_FACETS[1])
+@example(FLAT_FACETS[2])
+@example(EMPTY_FIBRE)
+def test_fibres_match_the_prefix_walk(points):
+    v = variety_of(points)
+    assume(v is not None)
+    for k in range(5):
+        want = oracles.prefix_walk_points(v.polytope, k)
+        assert all(lo <= hi for _, lo, hi in fibres(v.polytope, k))
+        # lattice_points expands the fibres
+        assert v.lattice_points(k) == want
+        assert v.ehrhart_count(k) == len(want)
+
+
+def test_empty_fibre_example_skips_a_prefix():
+    poly = polytope_of(EMPTY_FIBRE)
+    signs = {(a[-1] > 0) - (a[-1] < 0) for a, c in poly.facets}
+    assert signs == {-1, 1}
+    # over x = 0 and x = 1 the triangle runs from y = (2 - x) / 4 to
+    # (2 - x) / 3, past no integer
+    assert fibres(poly, 1) == [((-2,), 1, 1), ((-1,), 1, 1), ((2,), 0, 0)]
 
 
 def test_lattice_points_leave_no_reference_cycles():

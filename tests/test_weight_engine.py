@@ -16,8 +16,8 @@ from dflab.errors import (
     UnsupportedMode,
 )
 from dflab.lattice_geometry import (
-    PolarizedToricVariety,
     box,
+    fibres,
     hirzebruch_anticanonical,
     make_variety,
     projective_space,
@@ -134,6 +134,63 @@ def test_fit_diagnoses_quasi_polynomial_period_two():
         fit_polynomial(PARITY_SPLIT_COUNTS, 2)
     assert exc.value.hint == "quasi_polynomial"
     assert exc.value.quasi_period == 2
+
+
+# fit_polynomial interpolates in integers over d!; the Fraction Lagrange fit
+# of oracles.fit_outcome is the reference on every outcome: a fit with its
+# coefficients and k0, or NotStabilized with its hint and period.
+
+def library_fit_outcome(samples, max_degree, guard):
+    try:
+        fit = fit_polynomial(samples, max_degree, guard)
+    except NotStabilized as exc:
+        return ("not_stabilized", exc.hint, exc.quasi_period)
+    assert all(type(c) is Fraction for c in fit.coeffs)
+    return ("fit", fit.coeffs, fit.k0)
+
+
+def eventually(draw, values):
+    """values with a few leading samples replaced, so that the fit's k0
+    lies past the start."""
+    head = draw(st.lists(st.integers(-50, 50), max_size=3))
+    return head + values[len(head):]
+
+
+@st.composite
+def fit_samples(draw):
+    kind = draw(st.sampled_from(
+        ["integer", "fraction", "quasi", "growing"]))
+    start = draw(st.integers(-6, 6))
+    # a period-q split shows only with d + 3 samples in each residue class
+    size = draw(st.integers(12, 24) if kind == "quasi" else st.integers(1, 16))
+    ks = range(start, start + size)
+    if kind in ("integer", "fraction"):
+        entry = st.integers(-9, 9)
+        if kind == "fraction":
+            entry = st.fractions(min_value=-9, max_value=9,
+                                 max_denominator=12)
+        coeffs = draw(st.lists(entry, min_size=1, max_size=6))
+        values = [sum(c * k ** i for i, c in enumerate(coeffs)) for k in ks]
+        values = eventually(draw, values)
+    elif kind == "quasi":
+        q = draw(st.integers(2, 4))
+        polys = draw(st.lists(st.lists(st.integers(-5, 5), min_size=1,
+                                       max_size=4), min_size=q, max_size=q))
+        values = [sum(c * k ** i for i, c in enumerate(polys[k % q]))
+                  for k in ks]
+    else:
+        values = [draw(st.integers(2, 3)) ** k if k >= 0 else 0 for k in ks]
+    return dict(zip(ks, values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_samples(), st.integers(0, 5), st.integers(1, 3))
+@example(PARITY_SPLIT_COUNTS, 2, 2)
+@example({k: Fraction(k * k, 3) - k for k in range(-3, 7)}, 2, 2)
+def test_integer_fit_matches_the_fraction_reference(samples, max_degree,
+                                                    guard):
+    assert library_fit_outcome(samples, max_degree, guard) == \
+        oracles.fit_outcome(samples, max_degree, guard)
 
 
 def test_quasi_sequence_matches_live_counts():
@@ -283,8 +340,46 @@ def test_stepped_tables_match_t_degree_sum(case, r, start):
     for k in range(start, 7):
         tables = stepper.advance(k)
         assert stepper.k == k
-        assert we._weight(tables, k * r, variety.lattice_points(k * r)) == \
-            reference_weight(variety, flag, r, k)
+        assert we._weight(tables, k * r, fibres(variety.polytope, k * r)) \
+            == reference_weight(variety, flag, r, k)
+
+
+def test_f1_cox_tables_read_fibres_backwards():
+    # the chart at (0, 2) has the cox variables of the facets y <= 2 and
+    # x >= 0, so its flat index falls by the stride of the first axis as y
+    # grows: _weight reads its table slices backwards
+    for r in (1, 2):
+        tables = LevelStepper(F1, PAST_THE_BOX, r).advance(3)
+        assert sorted((a[-1] > 0) - (a[-1] < 0) for a, c, t in tables) == \
+            [-1, 1, 1, 1]
+
+
+# _weight on made-up tables: every sign of the step a = A[-1] along the
+# fibres, which on a level table comes only out of the chart geometry (2-D
+# tables never step by 0), against the level sum over the prefix walk.
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CHART_VARIETIES + [F1]), st.integers(1, 3), st.data())
+def test_weight_reads_fibre_slices_of_every_step(variety, k, data):
+    points = oracles.prefix_walk_points(variety.polytope, k)
+    fib = fibres(variety.polytope, k)
+    tables = []
+    for last in (-2, -1, 0, 1, 3):
+        head = data.draw(st.lists(st.integers(-3, 3),
+                                  min_size=variety.dim - 1,
+                                  max_size=variety.dim - 1))
+        a = tuple(head) + (last,)
+        idx = [sum(x * y for x, y in zip(a, u)) for u in points]
+        c = min(idx) // k
+        size = max(idx) - k * c + 1
+        table = data.draw(st.lists(st.integers(0, 9), min_size=size,
+                                   max_size=size))
+        tables.append((a, c, table))
+        assert we._weight([tables[-1]], k, fib) == -sum(
+            table[i - k * c] for i in idx)
+    assert we._weight(tables, k, fib) == -sum(
+        max(t[sum(x * y for x, y in zip(a, u)) - k * c] for a, c, t in tables)
+        for u in points)
 
 
 def test_df_counting_steps_each_k_once(monkeypatch):
@@ -297,8 +392,8 @@ def test_df_counting_steps_each_k_once(monkeypatch):
         step(self)
         steps.append(self.k)
 
-    def recorded_weight(tables, scale, points):
-        weights[scale] = weight(tables, scale, points)
+    def recorded_weight(tables, scale, fib):
+        weights[scale] = weight(tables, scale, fib)
         return weights[scale]
 
     monkeypatch.setattr(LevelStepper, "step", counted_step)
@@ -395,6 +490,11 @@ def closure_flags(draw):
 # (x^3, y^3) is not integrally closed: its closure count is strictly above
 # the count of its powers
 @example((projective_space(2, 2), flag_of([[(3, 0), (0, 3)]], 2)), 2, 3)
+# on F1 charted at (3, 2) the folded functional of (x, y) is constant along
+# the fibres, that of (x^2, y) falls and that of (x, y^2) rises
+@example((CLOSURE_VARIETIES[-1], flag_of([[(1, 0), (0, 1)]], 2)), 1, 3)
+@example((CLOSURE_VARIETIES[-1], flag_of([[(2, 0), (0, 1)]], 2)), 2, 2)
+@example((CLOSURE_VARIETIES[-1], flag_of([[(1, 0), (0, 2)]], 2)), 1, 3)
 def test_closure_weight_matches_phi_reference(case, r, k):
     variety, flag = case
     assert closure_weight_at(variety, flag, r, k) == \
@@ -407,19 +507,18 @@ def test_df_counting_enumerates_each_sample_once(monkeypatch):
     r = 3
     scales = []
     hilbert_ks = []
-    enumerate_points = PolarizedToricVariety.lattice_points
+    enumerate_fibres = we.fibres
     hilbert = we.hilbert_at
 
-    def counted_points(self, k):
+    def counted_fibres(poly, k):
         scales.append(k)
-        return enumerate_points(self, k)
+        return enumerate_fibres(poly, k)
 
     def counted_hilbert(variety, r_, k):
         hilbert_ks.append(k)
         return hilbert(variety, r_, k)
 
-    monkeypatch.setattr(PolarizedToricVariety, "lattice_points",
-                        counted_points)
+    monkeypatch.setattr(we, "fibres", counted_fibres)
     monkeypatch.setattr(we, "hilbert_at", counted_hilbert)
     report = df_counting(v, flag, r)
     assert report.df == 21
