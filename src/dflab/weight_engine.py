@@ -178,7 +178,7 @@ def weight_at(variety, flag, r, k):
     return weight_sequence(variety, flag, r, (k,))[k]
 
 
-def _weight(tables, scale, fibres):
+def _weight(tables, scale, fib):
     """weight_at from the level tables of J^k, on the fibres (p, lo, hi) of
     krP, scale = k * r.
 
@@ -186,12 +186,15 @@ def _weight(tables, scale, fibres):
     for lo <= x <= hi, with a = A[-1] and b = <A', p> - scale * C, so the
     chart's levels along the fibre are the slice of its table with step a:
     read backwards and reversed when a < 0, one cell repeated when a = 0.
-    Each point's level is the largest over the charts."""
+    Each point's level is the largest over the charts.  A slice past the
+    end of a table comes back short, so a table that does not cover krP
+    raises ConsistencyError."""
+    count = sum(hi - lo + 1 for _, lo, hi in fib)
     levels = None
     for weights, c, table in tables:
         head, a = weights[:-1], weights[-1]
         col = []
-        for p, lo, hi in fibres:
+        for p, lo, hi in fib:
             b = dot(head, p) - scale * c
             if a > 0:
                 col += table[b + a * lo:b + a * hi + 1:a]
@@ -199,6 +202,10 @@ def _weight(tables, scale, fibres):
                 col += table[b + a * hi:b + a * lo + 1:-a][::-1]
             else:
                 col += [table[b]] * (hi - lo + 1)
+        if len(col) != count:
+            raise ConsistencyError(
+                "level table of chart %r covers %d of the %d points of "
+                "the dilate %d" % (weights, len(col), count, scale))
         levels = col if levels is None else \
             [x if x >= y else y for x, y in zip(levels, col)]
     return -sum(levels)
@@ -252,18 +259,18 @@ def _closure_functionals(variety, flag, r):
     return out
 
 
-def _closure_weight(funcs, k, fibres):
+def _closure_weight(funcs, k, fib):
     """closure_weight_at from _closure_functionals, on the fibres
     (p, lo, hi) of krP: along a fibre each functional's ceiling runs over
     one arithmetic progression in the last coordinate."""
-    levels = [0] * sum(hi - lo + 1 for _, lo, hi in fibres)
+    levels = [0] * sum(hi - lo + 1 for _, lo, hi in fib)
     for a, c, t in funcs:
         head, an = a[:-1], a[-1]
         # ceil(m / t) == (m + t - 1) // t for t > 0, so the level of
         # u = p + (x,) is (top - <a', p> - an * x) // t
         top = k * c + t - 1
         col = []
-        for p, lo, hi in fibres:
+        for p, lo, hi in fib:
             m = top - dot(head, p)
             if an:
                 col += range(m - an * lo, m - an * (hi + 1), -an)

@@ -30,6 +30,7 @@ from dflab.monomial_algebra import (
     phi_value,
     validate_flag_ideal,
 )
+import dflab.lattice_geometry as lg
 import dflab.weight_engine as we
 from dflab.weight_engine import (
     DFReport,
@@ -382,6 +383,18 @@ def test_weight_reads_fibre_slices_of_every_step(variety, k, data):
         for u in points)
 
 
+def test_weight_rejects_a_table_short_of_the_dilate():
+    # the points 0..3 of 3P for P = [0, 1] sit at the table indices
+    # a * x - 3 * c, which run over 0..3 * |a|
+    fib = fibres(projective_space(1, 1).polytope, 3)
+    for a, c in ((1, 0), (-1, -1), (2, 0)):
+        table = list(range(3 * abs(a) + 1))
+        assert we._weight([((a,), c, table)], 3, fib) == \
+            -sum(table[a * x - 3 * c] for x in range(4))
+        with pytest.raises(ConsistencyError):
+            we._weight([((a,), c, table[:-1])], 3, fib)
+
+
 def test_df_counting_steps_each_k_once(monkeypatch):
     steps = []
     weights = {}
@@ -507,7 +520,7 @@ def test_df_counting_enumerates_each_sample_once(monkeypatch):
     r = 3
     scales = []
     hilbert_ks = []
-    enumerate_fibres = we.fibres
+    enumerate_fibres = lg.fibres
     hilbert = we.hilbert_at
 
     def counted_fibres(poly, k):
@@ -518,7 +531,10 @@ def test_df_counting_enumerates_each_sample_once(monkeypatch):
         hilbert_ks.append(k)
         return hilbert(variety, r_, k)
 
+    # every enumeration of krP goes through fibres: directly from the
+    # weight engine, or through lattice_points and ehrhart_count
     monkeypatch.setattr(we, "fibres", counted_fibres)
+    monkeypatch.setattr(lg, "fibres", counted_fibres)
     monkeypatch.setattr(we, "hilbert_at", counted_hilbert)
     report = df_counting(v, flag, r)
     assert report.df == 21
