@@ -245,7 +245,8 @@ def _chart_moves(flag, idxs):
 class _ChartTable:
     funcs: tuple     # exponent i of u in sP is <funcs[i], u> - s * offs[i]
     offs: tuple
-    side: tuple      # e_i: the table of J^k lives on the box of side k * e_i
+    side: tuple      # D_i: J^k is stepped on the box of side k * D_i
+    reach: tuple     # e_i: advance pads to the box of side k * e_i
     moves: list      # _chart_moves on this chart
     shape: list
     table: list      # row-major levels over the box of side lengths shape
@@ -263,13 +264,15 @@ class LevelStepper:
         t_k(y) = min(t_(k-1)(y) + N, min over (g, j) of t_(k-1)(y - g) + j)
 
     with t_0 = 0.  Each generator term is one shifted row-wise min over
-    the flat table.  The table of J^k lives on the box of side k * e_i with
-    e_i = max(r * w_i, D_i): w_i is the chart functional's reach over the
-    vertices, so the box covers the chart exponents of krP, and D_i is the
-    largest projected generator exponent.  Generators of J^(k-1) are at
-    most (k-1) * D, so t_(k-1) is constant along axis i past
-    (k-1) * D_i <= (k-1) * e_i, and padding the old table by its last cell
-    on each axis is exact.
+    the flat table.  D_i is the largest projected generator exponent on
+    axis i (0 when the chart has no moves), so every generator of J^k is
+    at most k * D on the chart and t_k(y) = t_k(min(y, k * D)): t_k is
+    constant along axis i past k * D_i.  The table of J^k is therefore
+    stepped on the box of side k * D_i only, padding the table of J^(k-1)
+    by its last cell on each axis is exact, and advance pads the table of
+    J^k the same way to the box of side k * e_i that krP reads, with
+    e_i = max(D_i, r * w_i) and w_i the chart functional's reach over the
+    vertices.
     """
 
     def __init__(self, variety, flag, r):
@@ -279,12 +282,12 @@ class LevelStepper:
         self._charts = []
         for idxs, funcs, offs in _chart_functionals(variety, flag):
             moves = _chart_moves(flag, idxs)
-            side = tuple(
-                max([r * max(dot(a, v) - c for v in verts)]
-                    + [g[i] for g, _ in moves])
-                for i, (a, c) in enumerate(zip(funcs, offs)))
+            side = tuple(max([g[i] for g, _ in moves], default=0)
+                         for i in range(len(idxs)))
+            reach = tuple(max(d, r * max(dot(a, v) - c for v in verts))
+                          for d, a, c in zip(side, funcs, offs))
             self._charts.append(_ChartTable(
-                funcs, offs, side, moves, [1] * len(side), [0]))
+                funcs, offs, side, reach, moves, [1] * len(side), [0]))
 
     def step(self):
         """Advance every chart's table from J^k to J^(k+1)."""
@@ -314,18 +317,21 @@ class LevelStepper:
 
         Returns a list of (A, C, table) with
         g_k(u) = max over the list of table[<A, u> - k * r * C].  Each
-        table covers a box of chart exponents containing those reached by
-        krP; A and C fold the chart functionals, their offsets and the
-        row-major strides into one dot product."""
+        table is the stepped one padded to the box of side k * e_i, which
+        holds the chart exponents of krP; A and C fold the chart
+        functionals, their offsets and the row-major strides of that box
+        into one dot product."""
         if k < self.k:
             raise ValueError("cannot step back from J^%d to J^%d" % (self.k, k))
         while self.k < k:
             self.step()
         out = []
         for ch in self._charts:
-            strides = _strides(ch.shape)
+            shape = [k * e + 1 for e in ch.reach]
+            strides = _strides(shape)
             weights = tuple(dot(strides, col) for col in zip(*ch.funcs))
-            out.append((weights, dot(strides, ch.offs), ch.table))
+            out.append((weights, dot(strides, ch.offs),
+                        _pad(ch.table, ch.shape, shape)))
         return out
 
 
@@ -337,8 +343,11 @@ def t_degree(variety, flag, r, k, u):
     The level is read from the LevelStepper tables of J^k, the largest of
     the point's entries over the charts, as weight_at reads it for all of
     krP at once.  A point outside krP raises PointOutsidePolytope: its
-    chart exponents would fall off the box the tables cover.
+    chart exponents would fall off the box the tables cover, and a
+    negative k raises InvalidInput.
     """
+    if k < 0:
+        raise InvalidInput("k must be at least 0, not %d" % k)
     scale = k * r
     if any(dot(a, u) < scale * c for a, c in variety.polytope.facets):
         raise PointOutsidePolytope(

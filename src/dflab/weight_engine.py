@@ -106,7 +106,7 @@ def fit_polynomial(samples, max_degree, guard=2):
     is the reference.
     """
     ks = sorted(samples)
-    if ks != list(range(ks[0], ks[0] + len(ks))):
+    if ks and ks != list(range(ks[0], ks[0] + len(ks))):
         raise ValueError("samples must cover consecutive integers")
     d = max_degree
     need = d + 2 + guard
@@ -214,12 +214,16 @@ def _weight(tables, scale, fib):
 def weight_sequence(variety, flag, r, ks):
     """{k: weight_at(variety, flag, r, k)} over the ks, from one LevelStepper
     stepped across them in increasing order: the tables of J^k are built
-    once up to the largest k, not once per k."""
+    once up to the largest k, not once per k.  A negative k raises
+    InvalidInput, for a trivial flag too."""
+    ks = sorted(ks)
+    if ks and ks[0] < 0:
+        raise InvalidInput("k must be at least 0, not %d" % ks[0])
     if flag.trivial:
         return {k: 0 for k in ks}
     stepper = LevelStepper(variety, flag, r)
     return {k: _weight(stepper.advance(k), k * r,
-                       fibres(variety.polytope, k * r)) for k in sorted(ks)}
+                       fibres(variety.polytope, k * r)) for k in ks}
 
 
 def closure_weight_at(variety, flag, r, k):

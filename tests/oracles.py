@@ -284,6 +284,68 @@ def level_cox(pgens, exps, charts):
     return best
 
 
+def full_box_level_tables(charts, vertices, r, big_n, kmax):
+    """Per-chart level tables of J^k for k = 0..kmax, each stepped from the
+    one before on the full box of side k * e_i, e_i = max(r * w_i, D_i):
+    w_i is the reach of the chart functional over the vertices, D_i the
+    largest exponent on axis i of the chart's moves.  This is the level
+    stepper as it was before it stepped on the box of side k * D_i alone.
+
+    charts lists (funcs, offs, moves) per chart, moves the (g, j) pairs of
+    projected generators and their levels.  Entry k of the result lists,
+    per chart, (A, C, table): the row-major strides of the box folded into
+    the functionals A and offsets C, and the row-major table of
+    t_k(y) = min(t_(k-1)(y) + big_n, min over (g, j) of t_(k-1)(y - g) + j)
+    with the old table padded by its last cell on each axis."""
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    def strides(shape):
+        out = [1] * len(shape)
+        for i in range(len(shape) - 2, -1, -1):
+            out[i] = out[i + 1] * shape[i + 1]
+        return out
+
+    def pad(table, shape, new_shape):
+        inner = 1
+        for i in range(len(shape) - 1, -1, -1):
+            chunk = shape[i] * inner
+            extra = new_shape[i] - shape[i]
+            out = []
+            for start in range(0, len(table), chunk):
+                out += table[start:start + chunk]
+                out += table[start + chunk - inner:start + chunk] * extra
+            table = out
+            inner *= new_shape[i]
+        return table
+
+    result = [[] for _ in range(kmax + 1)]
+    for funcs, offs, moves in charts:
+        side = [max([r * max(dot(a, v) - c for v in vertices)]
+                    + [g[i] for g, _ in moves])
+                for i, (a, c) in enumerate(zip(funcs, offs))]
+        shape, table = [1] * len(side), [0]
+        for k in range(kmax + 1):
+            if k:
+                new_shape = [k * e + 1 for e in side]
+                old = pad(table, shape, new_shape)
+                shape, st = new_shape, strides(new_shape)
+                table = [x + big_n for x in old]
+                for g, j in moves:
+                    off = dot(st, g)
+                    rows = [0]
+                    for x, m, stride in zip(g, shape[:-1], st):
+                        rows = [row + stride * i for row in rows
+                                for i in range(x, m)]
+                    for row in rows:
+                        for y in range(row + g[-1], row + shape[-1]):
+                            table[y] = min(table[y], old[y - off] + j)
+            st = strides(shape)
+            result[k].append((tuple(dot(st, col) for col in zip(*funcs)),
+                              dot(st, offs), table))
+    return result
+
+
 # ---------------------------------------------------------------------------
 # lattice point scans for the stock polytopes
 

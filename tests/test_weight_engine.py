@@ -1,7 +1,7 @@
 """Tests for the weight counting pipeline: fitting, pins, identities."""
 
 from fractions import Fraction
-from math import ceil
+from math import ceil, prod
 
 import pytest
 
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dflab.errors import (
     ConsistencyError,
     ExponentTooSmall,
+    InvalidInput,
     NotStabilized,
     UnsupportedMode,
 )
@@ -28,9 +29,11 @@ from dflab.monomial_algebra import (
     MonomialIdeal,
     newton_polyhedron,
     phi_value,
+    t_degree,
     validate_flag_ideal,
 )
 import dflab.lattice_geometry as lg
+import dflab.monomial_algebra as ma
 import dflab.weight_engine as we
 from dflab.weight_engine import (
     DFReport,
@@ -111,6 +114,11 @@ def test_fit_needs_enough_samples():
     with pytest.raises(NotStabilized) as exc:
         fit_polynomial({1: 1, 2: 2, 3: 3}, 2)
     assert exc.value.hint == "extend_k_range"
+
+
+def test_fit_of_no_samples_needs_more():
+    with pytest.raises(NotStabilized, match="need at least 5 consecutive"):
+        fit_polynomial({}, 1)
 
 
 def test_fit_reports_unstabilized_growth():
@@ -345,6 +353,49 @@ def test_stepped_tables_match_t_degree_sum(case, r, start):
             == reference_weight(variety, flag, r, k)
 
 
+# LevelStepper steps J^k on the box of side k * D_i, D_i the largest move
+# exponent on axis i, and advance pads it to the box krP reads; the tables
+# it returns are those of the full-box stepping in tests/oracles.py.
+
+def chart_data(variety, flag):
+    return [(funcs, offs, ma._chart_moves(flag, idxs))
+            for idxs, funcs, offs in ma._chart_functionals(variety, flag)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(chart_flags(), cox_flags().map(lambda flag: (F1, flag)),
+                 st.just((F1, PAST_THE_BOX))),
+       st.integers(1, 2), st.integers(1, 3))
+@example((F1, PAST_THE_BOX), 1, 3)
+def test_advance_matches_full_box_stepping(case, r, start):
+    variety, flag = case
+    assume(not flag.trivial)
+    expected = oracles.full_box_level_tables(
+        chart_data(variety, flag), variety.polytope.vertices, r,
+        flag.big_n, 6)
+    stepper = LevelStepper(variety, flag, r)
+    for k in range(start, 7):
+        assert stepper.advance(k) == expected[k]
+
+
+def test_stepped_tables_hold_the_moves_box():
+    # PAST_THE_BOX lives on the rigid curve: on the two charts away from
+    # it every move projects to 0, so their tables keep one cell
+    cases = [(F1, PAST_THE_BOX, 1, [1, 1, 13, 13]),
+             (F1, PAST_THE_BOX, 2, [1, 1, 13, 13]),
+             (projective_space(2, 2), flag_of([[(2, 0), (1, 1), (0, 2)]], 2),
+              3, [49])]
+    for variety, flag, r, cells in cases:
+        stepper = LevelStepper(variety, flag, r)
+        stepper.advance(3)
+        sides = [[max((g[i] for g, _ in moves), default=0)
+                  for i in range(len(funcs))]
+                 for funcs, _, moves in chart_data(variety, flag)]
+        assert [len(ch.table) for ch in stepper._charts] == [
+            prod(3 * d + 1 for d in side) for side in sides]
+        assert sorted(len(ch.table) for ch in stepper._charts) == cells
+
+
 def test_f1_cox_tables_read_fibres_backwards():
     # the chart at (0, 2) has the cox variables of the facets y <= 2 and
     # x >= 0, so its flat index falls by the stride of the first axis as y
@@ -422,6 +473,19 @@ def test_df_counting_steps_each_k_once(monkeypatch):
     assert steps == list(range(1, 10))
     for k, w in weights.items():
         assert w == reference_weight(F1, PAST_THE_BOX, 1, k)
+
+
+def test_negative_k_is_invalid_input():
+    # J^-1 is not a power of the flag: the error names k, for a trivial
+    # flag too, and is not the stepper's step-back error
+    v = projective_space(2, 1)
+    for flag in (flag_of([[(1, 0), (0, 1)]], 2), flag_of([[(0, 0)]], 2)):
+        for call in (lambda: weight_at(v, flag, 1, -1),
+                     lambda: weight_sequence(v, flag, 1, [2, -1, 1]),
+                     lambda: t_degree(v, flag, 1, -1, (0, 0))):
+            with pytest.raises(InvalidInput, match="k must be at least 0, "
+                               "not -1"):
+                call()
 
 
 def test_level_stepper_does_not_step_back():
