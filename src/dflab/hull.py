@@ -1,17 +1,17 @@
 """Exact convex-hull primitives by exhaustive subset enumeration.
 
 Point counts here are small (tens, not thousands), so facets are found by
-testing every d-subset for a supporting hyperplane, its normal being the
-integer cofactor vector of the subset (integer points build no
-Fraction); a subset inside a facet already found is skipped, since it
-spans that facet's hyperplane or none.  Everything else is
-read from those facets: a set of affine rank m is first projected onto m
-coordinates on which that rank survives (an affine isomorphism on its
-affine hull, integer points staying integer), its vertices are the points
-whose facet normals have rank m.  The one volume the library computes,
-the lattice volume of a set on a hyperplane, is a facet sum one
-dimension down; triangulations stay as the tests' reference.  All
-answers are exact.
+testing every d-subset for a supporting hyperplane.  Normals, ranks and
+pivot columns all come from the one fraction-free elimination of
+intlinalg, so integer points build no Fraction; a subset inside a facet
+already found is skipped, since it spans that facet's hyperplane or none.
+Everything else is read from those facets: a set of affine rank m is
+first projected onto m coordinates on which that rank survives (an affine
+isomorphism on its affine hull, integer points staying integer), its
+vertices are the points whose facet normals have rank m.  The one volume
+the library computes, the lattice volume of a set on a hyperplane, is a
+facet sum one dimension down; triangulations stay as the tests'
+reference.  All answers are exact.
 """
 
 from __future__ import annotations
@@ -147,8 +147,7 @@ def simplex_volume(verts):
     if m == 0:
         return Fraction(1)
     rows = [[x - y for x, y in zip(p, p0)] for p in verts[1:]]
-    d = det(rows)
-    return abs(d) / factorial(m)
+    return Fraction(abs(det(rows)), factorial(m))
 
 
 def triangulate_points(points, dim):

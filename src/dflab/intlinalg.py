@@ -1,11 +1,13 @@
 """Small exact linear-algebra kit over integers and rationals.
 
 Everything works on plain ints and fractions.Fraction; no floats enter or
-leave.  Hyperplane normals are integer cofactor vectors and pivot columns
-come from integer elimination, rows with Fraction entries being scaled to
-integer ones first, so the facet search builds no Fraction; Fraction row
-reduction is left to solve_unique.  Sizes are tiny (ambient dimension at
-most a handful), so clarity wins over asymptotics throughout.
+leave.  Determinants, ranks, pivot columns, linear solves and hyperplane
+normals all read one fraction-free (Bareiss) row echelon form of integer
+rows, rows with Fraction entries being scaled to integer ones first.
+Every entry of that form is a minor of the input, so the loop builds no
+Fraction; solve_unique builds them only for its solution.  Sizes are tiny
+(ambient dimension at most a handful), so clarity wins over asymptotics
+throughout.
 """
 
 from __future__ import annotations
@@ -19,57 +21,69 @@ def dot(a, b):
     return sum(map(mul, a, b))
 
 
-def rref(rows, width=None):
-    """Reduced row echelon form over Fraction: returns (rows, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    cols = width if width is not None else (len(m[0]) if m else 0)
+def _int_rows(rows):
+    """(rows scaled by den, den) for den the lcm of their denominators:
+    integer rows with the same span, so the same pivot columns, solutions
+    and hyperplane normal."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * den) for x in row] for row in rows], den
+
+
+def _echelon(m):
+    """Bareiss row echelon form of m, a list of integer rows, reduced in
+    place: (rows, pivot columns, D), D being the last pivot times the sign
+    of the row swaps (1 when there is no pivot).
+
+    After the pivot p on row r each row below is replaced by
+    (p * row - f * pivot row) / prev, f being the row's entry in the pivot
+    column and prev the previous pivot.  By Sylvester's identity the
+    division is exact and every entry is a minor of the swapped input: on
+    the pivot rows so far and its own row, and the pivot columns so far
+    and its own column.  So D is, up to sign, the minor on the pivot rows
+    and columns, and the determinant of a square matrix of full rank.
+    """
     pivots = []
+    sign = prev = 1
     r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
+    for c in range(len(m[0]) if m else 0):
+        for pr in range(r, len(m)):
+            if m[pr][c]:
+                break
+        else:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            sign = -sign
+        piv = m[r]
+        p = piv[c]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], piv)]
+        prev = p
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    return m, pivots, sign * prev
 
 
-def _int_rows(rows):
-    """rows scaled by the lcm of their denominators: integer rows with the
-    same span, so the same pivot columns and hyperplane normal."""
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return [[int(x * den) for x in row] for row in rows]
+def _null_vector(rows, pivots, width, free, value):
+    """The vector n of length width with n[free] = value, 0 on the other
+    columns that are no pivots, and rows . n = 0, for rows in echelon form
+    with the given pivot columns, by back-substitution.  With value the
+    D of _echelon every entry is an integer minor of the rows (Cramer's
+    rule), so each division is exact."""
+    n = [0] * width
+    n[free] = value
+    for k in reversed(range(len(pivots))):
+        row, c = rows[k], pivots[k]
+        n[c] = -dot(row[c + 1:], n[c + 1:]) // row[c]
+    return n
 
 
 def pivot_columns(rows):
-    """Pivot columns of the row echelon form of rows, the same as rref's,
-    by integer elimination: each row is cross-multiplied with the pivot
-    row and divided by the gcd of its entries."""
-    m = _int_rows(rows)
-    pivots = []
-    for c in range(len(m[0]) if m else 0):
-        pr = next((i for i, row in enumerate(m) if row[c]), None)
-        if pr is None:
-            continue
-        piv = m.pop(pr)
-        p = piv[c]
-        for i, row in enumerate(m):
-            f = row[c]
-            if f:
-                row = [p * a - f * b for a, b in zip(row, piv)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-    return pivots
+    """Pivot columns of the row echelon form of rows."""
+    return _echelon(_int_rows(rows)[0])[1]
 
 
 def rank(rows):
@@ -77,24 +91,12 @@ def rank(rows):
 
 
 def det(rows):
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    out = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            out = -out
-        out *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return out
+    """Exact determinant: an int for integer rows, a Fraction otherwise."""
+    m, den = _int_rows(rows)
+    _, pivots, d = _echelon(m)
+    if len(pivots) < len(m):
+        d = 0
+    return d if den == 1 else Fraction(d, den ** len(m))
 
 
 def solve_unique(columns, b):
@@ -102,49 +104,40 @@ def solve_unique(columns, b):
 
     Returns a tuple of Fractions when the system is consistent, None when
     inconsistent.  Raises ValueError when the columns are linearly
-    dependent (so a consistent system would not pin x down).
+    dependent (so a consistent system would not pin x down).  D x is the
+    null vector of [A | b] that is -D on its last column.
     """
     ncols = len(columns)
-    nrows = len(b)
-    aug = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(b[i])]
-           for i in range(nrows)]
-    red, pivots = rref(aug, width=ncols + 1)
+    aug, _ = _int_rows([[col[i] for col in columns] + [x]
+                        for i, x in enumerate(b)])
+    red, pivots, d = _echelon(aug)
     if ncols in pivots:
         return None
     if len(pivots) != ncols:
         raise ValueError("columns are linearly dependent")
-    sol = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        sol[c] = red[r][-1]
-    return tuple(sol)
-
-
-def _det(rows):
-    """Integer determinant by cofactor expansion along the first row; the
-    matrices here are at most 4 x 4."""
-    if len(rows) < 2:
-        return rows[0][0] if rows else 1
-    if len(rows) == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
-               for j, x in enumerate(rows[0]) if x)
+    x = _null_vector(red, pivots, ncols + 1, ncols, -d)
+    return tuple(Fraction(y, d) for y in x[:ncols])
 
 
 def hyperplane_normal(points):
     """Primitive normal of the affine hyperplane through d points of R^d,
     or None when they span no hyperplane.
 
-    The normal is the cofactor vector of the d - 1 difference rows, the
-    entry i being (-1)^i times the minor without column i, divided by its
-    gcd and signed so that its last nonzero entry is positive.
+    The points span one exactly when their d - 1 difference rows have rank
+    d - 1.  The null vector of the rows that is D on the one free column
+    is then, up to sign, their cofactor vector (entry i being (-1)^i times
+    the minor without column i); it is divided by its gcd and signed so
+    that its last nonzero entry is positive.
     """
     p0 = points[0]
-    rows = _int_rows([[x - y for x, y in zip(p, p0)] for p in points[1:]])
-    n = [(-1) ** i * _det([r[:i] + r[i + 1:] for r in rows])
-         for i in range(len(p0))]
-    g = gcd(*n)
-    if g == 0:
+    d = len(p0)
+    rows, _ = _int_rows([[x - y for x, y in zip(p, p0)] for p in points[1:]])
+    red, pivots, value = _echelon(rows)
+    if len(pivots) != d - 1:
         return None
+    free = next(c for c in range(d) if c not in pivots)
+    n = _null_vector(red, pivots, d, free, value)
+    g = gcd(*n)
     if next(x for x in reversed(n) if x) < 0:
         g = -g
     return tuple(x // g for x in n)

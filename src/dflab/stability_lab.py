@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
@@ -172,11 +173,11 @@ def record_key(mode, chain_gens, r, variety, options=None):
 
 
 def _evaluate_task(task):
-    """One search record; module level so worker processes can import it."""
-    variety, mode, chain_gens, r, options = task
+    """One search record from (record_key, variety, mode, chain generators,
+    r, options); module level so worker processes can import it."""
+    key, variety, mode, chain_gens, r, options = task
     nvars = variety.dim if mode == "chart" else len(variety.polytope.facets)
     chain = [MonomialIdeal.make(nvars, gens) for gens in chain_gens]
-    key = record_key(mode, chain_gens, r, variety, options)
     rec = {
         "key": key,
         "mode": mode,
@@ -302,45 +303,24 @@ def search_destabilizers(variety, bounds, options=None, workers=1,
     recomputed (resume semantics keyed by the content hash).
     """
     options = options or FitOptions()
-    chains = enumerate_flag_ideals(variety, bounds)
     tasks = []
-    for chain in chains:
+    for chain in enumerate_flag_ideals(variety, bounds):
         gens = tuple(i.gens for i in chain)
         for r in bounds.r_list:
-            tasks.append((variety, bounds.mode, gens, r, options))
-
+            key = record_key(bounds.mode, gens, r, variety, options)
+            tasks.append((key, variety, bounds.mode, gens, r, options))
     done = _load_stream(stream_path) if stream_path else {}
+    todo = [task for task in tasks if task[0] not in done]
 
-    todo = []
-    keys = []
-    for task in tasks:
-        key = record_key(task[1], task[2], task[3], task[0], task[4])
-        keys.append(key)
-        if key not in done:
-            todo.append(task)
+    parallel = workers and workers > 1 and len(todo) > 1
+    with (open(stream_path, "a") if stream_path else nullcontext()) as fh, \
+            (get_context("fork").Pool(workers) if parallel
+             else nullcontext()) as pool:
+        for rec in (pool.imap if parallel else map)(_evaluate_task, todo):
+            done[rec["key"]] = rec
+            if fh:
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                fh.flush()
 
-    stream = open(stream_path, "a") if stream_path else None
-    try:
-        if workers and workers > 1 and len(todo) > 1:
-            ctx = get_context("fork")
-            with ctx.Pool(workers) as pool:
-                for rec in pool.imap(_evaluate_task, todo):
-                    done[rec["key"]] = rec
-                    if stream:
-                        stream.write(json.dumps(rec, sort_keys=True) + "\n")
-                        stream.flush()
-        else:
-            for task in todo:
-                rec = _evaluate_task(task)
-                done[rec["key"]] = rec
-                if stream:
-                    stream.write(json.dumps(rec, sort_keys=True) + "\n")
-                    stream.flush()
-    finally:
-        if stream:
-            stream.close()
-
-    report = SearchReport(bounds=bounds, total=len(tasks))
-    for key in keys:
-        report.records.append(done[key])
-    return report
+    return SearchReport(bounds=bounds, records=[done[t[0]] for t in tasks],
+                        total=len(tasks))

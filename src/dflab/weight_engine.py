@@ -211,14 +211,19 @@ def _weight(tables, scale, fib):
     return -sum(levels)
 
 
+def _check_k(k):
+    if k < 0:
+        raise InvalidInput("k must be at least 0, not %d" % k)
+
+
 def weight_sequence(variety, flag, r, ks):
     """{k: weight_at(variety, flag, r, k)} over the ks, from one LevelStepper
     stepped across them in increasing order: the tables of J^k are built
     once up to the largest k, not once per k.  A negative k raises
     InvalidInput, for a trivial flag too."""
     ks = sorted(ks)
-    if ks and ks[0] < 0:
-        raise InvalidInput("k must be at least 0, not %d" % ks[0])
+    if ks:
+        _check_k(ks[0])
     if flag.trivial:
         return {k: 0 for k in ks}
     stepper = LevelStepper(variety, flag, r)
@@ -239,7 +244,9 @@ def closure_weight_at(variety, flag, r, k):
     maximum of the ceilings, hence each level is
     max(0, max_f -((<w_f, y> - k * order_f) // t_f)), an integer equal to
     ceil(k * phi_value(np, y / k)), which stays the per-point reference.
+    A negative k raises InvalidInput.
     """
+    _check_k(k)
     return _closure_weight(_closure_functionals(variety, flag, r), k,
                            fibres(variety.polytope, k * r))
 
@@ -286,6 +293,8 @@ def _closure_weight(funcs, k, fib):
 
 
 def hilbert_at(variety, r, k):
+    """h(k), the lattice points of krP; a negative k raises InvalidInput."""
+    _check_k(k)
     return variety.ehrhart_count(k * r)
 
 
@@ -438,15 +447,22 @@ def _t_shifted(weight_poly, hilbert_poly):
     return ExactPolynomial(tuple(coeffs), weight_poly.k0)
 
 
+def riemann_roch_holds(variety, r, hilbert_poly):
+    """Weak Riemann-Roch: the fitted Hilbert polynomial of rP reproduces
+    the intersection numbers, n! h_n = L^n r^n and
+    2 (n - 1)! h_(n-1) = -L^(n-1).K r^(n-1)."""
+    n = variety.dim
+    ln, lk = variety.intersection_numbers()
+    fact_n = factorial(n)
+    return (hilbert_poly.coefficient(n) * fact_n == ln * r ** n
+            and hilbert_poly.coefficient(n - 1) * 2 * (fact_n // n)
+            == -lk * r ** (n - 1))
+
+
 def _check_battery(variety, flag, r, weight_poly, hilbert_poly):
     n = variety.dim
     checks = {}
-    # fitted Ehrhart data must reproduce the intersection numbers
-    ln, lk = variety.intersection_numbers()
-    fact_n = factorial(n)
-    checks["weak_riemann_roch"] = (
-        hilbert_poly.coefficient(n) * fact_n == ln * r ** n
-        and hilbert_poly.coefficient(n - 1) * 2 * (fact_n // n) == -lk * r ** (n - 1))
+    checks["weak_riemann_roch"] = riemann_roch_holds(variety, r, hilbert_poly)
     # a trivial flag must carry the zero weight
     checks["base_weight_vanishes"] = weight_poly(0) == 0 if flag.trivial else True
     try:

@@ -163,7 +163,7 @@ def fit_outcome(samples, max_degree, guard=2):
 
 
 # ---------------------------------------------------------------------------
-# Fraction row reduction and the exhaustive facet search over it
+# Fraction row reduction, determinant, and the exhaustive facet search
 
 def rref(rows):
     """Reduced row echelon form over Fraction: (rows, pivot columns)."""
@@ -186,6 +186,27 @@ def rref(rows):
         if r == len(m):
             break
     return m, pivots
+
+
+def det(rows):
+    """Determinant of a square matrix by Fraction Gaussian elimination."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    out = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            out = -out
+        out *= m[c][c]
+        inv = Fraction(1) / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return out
 
 
 def nullspace_primitive(rows, dim):

@@ -64,7 +64,9 @@ def test_extreme_points_match_caratheodory_reference(case):
                 if not point_in_convex_hull(p, uniq[:i] + uniq[i + 1:])]
     verts = extreme_points(pts)
     assert verts == expected
-    assert volume_of_points(pts, d) == volume_of_points(verts, d)
+    vol = volume_of_points(verts, d)
+    assert type(vol) is Fraction
+    assert volume_of_points(pts, d) == vol
 
 
 @st.composite
@@ -172,6 +174,15 @@ def unimodular_moves(draw, d):
         if draw(st.booleans()):
             rows[i], rows[j] = [-x for x in rows[j]], rows[i]
     return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5).flatmap(unimodular_moves))
+def test_integer_inverse_round_trip(u):
+    inv = integer_inverse(u)
+    n = len(u)
+    assert [[dot(row, col) for col in zip(*u)] for row in inv] == \
+        [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 @st.composite

@@ -1,13 +1,16 @@
-"""Tests for the integer linear algebra behind the facet search, against
-the Fraction row reduction it replaced (kept in tests/oracles.py)."""
+"""Tests for the integer elimination behind every determinant, rank,
+solve and hyperplane normal, against the Fraction row reduction and
+Gaussian determinant it replaced (kept in tests/oracles.py)."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dflab.intlinalg import hyperplane_normal, pivot_columns, rank
+from dflab.intlinalg import (
+    det, dot, hyperplane_normal, pivot_columns, rank, solve_unique)
 
 
 def entries(draw):
@@ -54,12 +57,13 @@ def test_hyperplane_normal_matches_fraction_nullspace(case):
 
 
 @st.composite
-def matrices(draw):
-    """0-5 rows of width 1-6, some of them combinations of earlier rows."""
+def matrices(draw, square=False):
+    """0-5 rows of width 1-6, some of them combinations of earlier rows;
+    with square=True as many rows as the width."""
     width = draw(st.integers(1, 6))
     entry = entries(draw)
     rows = []
-    for _ in range(draw(st.integers(0, 5))):
+    for _ in range(width if square else draw(st.integers(0, 5))):
         if rows and draw(st.booleans()):
             coeffs = draw(st.lists(st.integers(-2, 2),
                                    min_size=len(rows), max_size=len(rows)))
@@ -79,3 +83,71 @@ def test_pivot_columns_match_fraction_rref(rows):
     pivots = oracles.rref(rows)[1]
     assert pivot_columns(rows) == pivots
     assert rank(rows) == len(pivots)
+
+
+def _is_int_matrix(rows):
+    return all(type(x) is int for row in rows for x in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(square=True))
+@example([])
+@example([[0, 1], [1, 0]])
+@example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), 2]])
+@example([[2, 4, 6], [1, 2, 3], [0, 0, 1]])
+def test_det_matches_fraction_gaussian_elimination(rows):
+    d = det(rows)
+    assert d == oracles.det(rows)
+    if _is_int_matrix(rows):
+        assert type(d) is int
+
+
+@st.composite
+def systems(draw):
+    """(columns, b) of A x = b, A having 1-5 rows and 1-4 columns: the
+    last column is a combination of the others when dependent is drawn,
+    and b is A x for a drawn x, plus an error vector when perturbed is
+    drawn, so every kind of system turns up."""
+    entry = entries(draw)
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, 4))
+    cols = draw(st.lists(st.lists(entry, min_size=nrows, max_size=nrows),
+                         min_size=ncols, max_size=ncols))
+    if ncols > 1 and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-2, 2),
+                               min_size=ncols - 1, max_size=ncols - 1))
+        cols[-1] = [dot(coeffs, row[:-1]) for row in zip(*cols)]
+    x = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+    b = [dot(row, x) for row in zip(*cols)]
+    if draw(st.booleans()):
+        b = [y + draw(entry) for y in b]
+    return cols, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+# consistent, with one redundant equation
+@example(([[1, 0, 1], [0, 2, 2]], [1, 4, 5]))
+# inconsistent
+@example(([[1, 0, 1], [0, 2, 2]], [1, 4, 6]))
+# dependent columns
+@example(([[1, 2], [2, 4]], [3, 6]))
+# square, with Fraction entries
+@example(([[Fraction(1, 2), 1], [Fraction(1, 3), Fraction(-3, 4)]],
+          [Fraction(2, 3), 1]))
+def test_solve_unique_matches_fraction_rref(system):
+    cols, b = system
+    ncols = len(cols)
+    aug = [list(row) + [y] for row, y in zip(zip(*cols), b)]
+    red, pivots = oracles.rref(aug)
+    if ncols in pivots:
+        assert solve_unique(cols, b) is None
+    elif len(pivots) < ncols:
+        with pytest.raises(ValueError):
+            solve_unique(cols, b)
+    else:
+        x = solve_unique(cols, b)
+        assert x == tuple(row[-1] for row in red[:ncols])
+        assert all(type(y) is Fraction for y in x)
+        if len(b) == ncols:
+            assert list(x) == oracles.solve_linear(list(zip(*cols)), b)

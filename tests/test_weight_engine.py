@@ -482,7 +482,9 @@ def test_negative_k_is_invalid_input():
     for flag in (flag_of([[(1, 0), (0, 1)]], 2), flag_of([[(0, 0)]], 2)):
         for call in (lambda: weight_at(v, flag, 1, -1),
                      lambda: weight_sequence(v, flag, 1, [2, -1, 1]),
-                     lambda: t_degree(v, flag, 1, -1, (0, 0))):
+                     lambda: t_degree(v, flag, 1, -1, (0, 0)),
+                     lambda: closure_weight_at(v, flag, 1, -1),
+                     lambda: hilbert_at(v, 1, -1)):
             with pytest.raises(InvalidInput, match="k must be at least 0, "
                                "not -1"):
                 call()
