@@ -32,15 +32,12 @@ from .monomial_algebra import (
     MonomialIdeal,
     cox_lift,
     newton_polyhedron,
-    phi_value,
-    t_degree,
     validate_flag_ideal,
 )
 from .intersection_engine import (
     DecompositionReport,
     RayContribution,
     df_intersection,
-    lower_hull_integral,
 )
 from .weight_engine import (
     DFReport,
@@ -103,16 +100,13 @@ __all__ = [
     "fit_polynomial",
     "hilbert_polynomial",
     "hirzebruch_anticanonical",
-    "lower_hull_integral",
     "mabuchi_check",
     "make_variety",
     "newton_polyhedron",
-    "phi_value",
     "preset_normal_cone",
     "projective_space",
     "search_destabilizers",
     "search_space_size",
-    "t_degree",
     "validate_flag_ideal",
     "weight_at",
 ]

@@ -41,7 +41,9 @@ from .weight_engine import (
     FitOptions,
     evaluate,
     hilbert_at,
+    hilbert_polynomial,
     mabuchi_check,
+    riemann_roch_holds,
     weight_sequence,
 )
 
@@ -288,8 +290,6 @@ def _verify_battery(args):
         results.append({"check": name, "ok": bool(ok), "detail": detail})
         sys.stdout.write("[%s] %s%s\n" % (
             name, "PASS" if ok else "FAIL", " " + detail if detail else ""))
-
-    from .weight_engine import hilbert_polynomial, riemann_roch_holds
 
     # Ehrhart coefficients against the intersection numbers
     for name, variety in _battery_cases():

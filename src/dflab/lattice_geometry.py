@@ -45,8 +45,10 @@ class PolarizedToricVariety:
         return self.polytope.dim
 
     def lattice_points(self, k):
-        """All lattice points of the dilate kP, in sorted order."""
-        return _lattice_points(self.polytope, k)
+        """All lattice points of the dilate kP, in sorted (lexicographic)
+        order, read off its fibres."""
+        return [p + (x,) for p, lo, hi in fibres(self.polytope, k)
+                for x in range(lo, hi + 1)]
 
     def ehrhart_count(self, k):
         return sum(hi - lo + 1 for _, lo, hi in fibres(self.polytope, k))
@@ -122,12 +124,6 @@ def fibres(poly, k):
         if lo <= hi:
             out.append((p, lo, hi))
     return out
-
-
-def _lattice_points(poly, k):
-    """Lattice points of kP in lexicographic order, read off fibres."""
-    return [p + (x,) for p, lo, hi in fibres(poly, k)
-            for x in range(lo, hi + 1)]
 
 
 def _intersection_numbers(poly):

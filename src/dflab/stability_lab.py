@@ -100,10 +100,7 @@ def candidate_ideals(nvars, bounds):
             if bounds.mode == "chart" and None in pure_powers(combo, range(nvars)):
                 continue
             out.append(MonomialIdeal.make(nvars, combo))
-    # dedupe (different combos can minimalize to the same antichain, though
-    # the antichain filter above already prevents that) and fix the order
-    uniq = sorted(set(out), key=lambda i: (len(i.gens), i.gens))
-    return uniq
+    return sorted(out, key=lambda i: (len(i.gens), i.gens))
 
 
 def enumerate_flag_ideals(variety, bounds):
@@ -241,16 +238,14 @@ class SearchReport:
 
     @property
     def minimum(self):
-        vals = [Fraction(r["DF"]) for r in self.decided]
-        return min(vals) if vals else None
+        best = self.witness
+        return None if best is None else Fraction(best["DF"])
 
     @property
     def witness(self):
-        best = None
-        for r in self.decided:
-            if best is None or Fraction(r["DF"]) < Fraction(best["DF"]):
-                best = r
-        return best
+        """The first decided record of least DF, or None."""
+        return min(self.decided, key=lambda r: Fraction(r["DF"]),
+                   default=None)
 
     @property
     def destabilizers(self):

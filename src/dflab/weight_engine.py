@@ -25,6 +25,7 @@ from .errors import (
     NotStabilized,
     UnsupportedMode,
 )
+from .intersection_engine import df_intersection
 from .intlinalg import dot
 from .lattice_geometry import fibres
 from .monomial_algebra import (
@@ -217,18 +218,37 @@ def _check_k(k):
 
 
 def weight_sequence(variety, flag, r, ks):
-    """{k: weight_at(variety, flag, r, k)} over the ks, from one LevelStepper
-    stepped across them in increasing order: the tables of J^k are built
+    """{k: weight_at(variety, flag, r, k)} over the ks, from one walk
+    sampled across them in increasing order: the tables of J^k are built
     once up to the largest k, not once per k.  A negative k raises
     InvalidInput, for a trivial flag too."""
     ks = sorted(ks)
     if ks:
         _check_k(ks[0])
-    if flag.trivial:
-        return {k: 0 for k in ks}
-    stepper = LevelStepper(variety, flag, r)
-    return {k: _weight(stepper.advance(k), k * r,
-                       fibres(variety.polytope, k * r)) for k in ks}
+    sample = _walk(variety, flag, r, closure=False)
+    return {k: sample(k)[1] for k in ks}
+
+
+def _walk(variety, flag, r, closure):
+    """sample(k) -> (h(k), W(k), the closure weight or None), for k
+    increasing across calls.
+
+    Each sample enumerates krP once, as fibres, and feeds all three counts
+    from them; only the integers are kept.  W reads one LevelStepper, so
+    the level tables of J^k are stepped from those of J^(k-1); a trivial
+    flag has no stepper and weighs 0.  The closure weight is counted only
+    when closure is set, from the flag's _closure_functionals.
+    """
+    funcs = _closure_functionals(variety, flag, r) if closure else None
+    stepper = None if flag.trivial else LevelStepper(variety, flag, r)
+
+    def sample(k):
+        fib = fibres(variety.polytope, k * r)
+        return (sum(hi - lo + 1 for _, lo, hi in fib),
+                _weight(stepper.advance(k), k * r, fib) if stepper else 0,
+                _closure_weight(funcs, k, fib) if closure else None)
+
+    return sample
 
 
 def closure_weight_at(variety, flag, r, k):
@@ -369,12 +389,15 @@ class DFReport:
         return out
 
 
-def _fit_with_extension(sampler, max_degree, options, n):
+def _fit_with_extension(sampler, fit, options, n):
+    """(fit(samples), samples) over the window of options in dimension n,
+    doubling its top up to options.cap while fit raises NotStabilized with
+    a hint other than quasi_polynomial."""
     lo, hi = options.window_for(n)
     samples = {k: sampler(k) for k in range(lo, hi + 1)}
     while True:
         try:
-            return fit_polynomial(samples, max_degree, options.guard), samples
+            return fit(samples), samples
         except NotStabilized as exc:
             if exc.hint == "quasi_polynomial":
                 raise
@@ -390,7 +413,9 @@ def hilbert_polynomial(variety, r, options=None):
     options = options or FitOptions()
     n = variety.dim
     poly, _ = _fit_with_extension(
-        lambda k: hilbert_at(variety, r, k), n, options, n)
+        lambda k: hilbert_at(variety, r, k),
+        lambda samples: fit_polynomial(samples, n, options.guard),
+        options, n)
     return poly
 
 
@@ -415,8 +440,11 @@ def mabuchi_check(weight_poly, hilbert_poly, r, k, kp):
        wtilde(r, kkp) / (kkp P(kkp)) - wtilde(r, k) / (k P(k))
          = r P(r) wtilde(k, kkp) / (k^2 kp P(kkp) P(k)).
 
-    Both sides are evaluated as exact fractions from the fitted data; any
-    slip in the fitting or evaluation machinery breaks the equality.
+    Both sides are evaluated as exact fractions, but the equality is an
+    algebraic identity: each side reduces to
+    r P(r) (w(kkp) / (kkp P(kkp)) - w(k) / (k P(k))), so it holds for any
+    polynomials w and P with P(k) and P(kkp) nonzero, and no slip in the
+    fits can break it.
     """
     if k % r != 0 or (k * kp) % r != 0:
         raise ValueError("k and k*kp must be divisible by r")
@@ -460,6 +488,15 @@ def riemann_roch_holds(variety, r, hilbert_poly):
 
 
 def _check_battery(variety, flag, r, weight_poly, hilbert_poly):
+    """The report's checks on the fitted polynomials.
+
+    Only weak_riemann_roch reads the data: it compares the Hilbert fit with
+    the intersection numbers of P.  The other four hold by construction:
+    mabuchi_identity is an algebraic identity (see mabuchi_check), the
+    shift of chow_scaling cancels algebraically in df_from_fits and
+    chow_number, the fit caps the degree at n+1 (degree_bound), and the
+    trivial flag's weight is built as zero (base_weight_vanishes).
+    """
     n = variety.dim
     checks = {}
     checks["weak_riemann_roch"] = riemann_roch_holds(variety, r, hilbert_poly)
@@ -481,51 +518,45 @@ def _check_battery(variety, flag, r, weight_poly, hilbert_poly):
     return checks
 
 
+def _column(samples, i):
+    return {k: sample[i] for k, sample in samples.items()}
+
+
 def df_counting(variety, flag, r, options=None):
-    """Counting pipeline: fit W and the Hilbert function, read off DF."""
+    """Counting pipeline: fit W and the Hilbert function, read off DF.
+
+    One walk samples h, W and, for point-supported chart flags, the
+    closure weight at each k of one window.  The window grows until W
+    fits, or for a trivial flag, whose weight is the zero polynomial,
+    until h fits; h and the closure weight are fitted on that window.
+    """
     options = options or FitOptions()
     n = variety.dim
-    if flag.trivial:
-        hpoly = hilbert_polynomial(variety, r, options)
-        zero = ExactPolynomial((Fraction(0),), 0)
-        report = DFReport(df=Fraction(0), r=r, pipeline="counting",
-                          trivial=True, weight_poly=zero, hilbert_poly=hpoly,
-                          chow=Fraction(0))
-        report.checks = _check_battery(variety, flag, r, zero, hpoly)
-        return report
-    _semiample_note = _semiample_precheck(variety, flag, r)
-    # one enumeration of krP per sample k, fibre by fibre, feeds the weight,
-    # the Hilbert count and, for point-supported chart flags, the closure
-    # weight; only the integers are kept across samples.  The fit samples
-    # consecutive k, so one stepper builds the level tables of J^k from
-    # those of J^(k-1).
+    note = _semiample_precheck(variety, flag, r)
     closure = flag.mode == "chart" and flag.support == "point"
-    funcs = _closure_functionals(variety, flag, r) if closure else None
-    stepper = LevelStepper(variety, flag, r)
-    counts = {}
-    closure_samples = {}
+    sample = _walk(variety, flag, r, closure)
 
-    def sample(k):
-        fib = fibres(variety.polytope, k * r)
-        counts[k] = sum(hi - lo + 1 for _, lo, hi in fib)
-        if closure:
-            closure_samples[k] = _closure_weight(funcs, k, fib)
-        return _weight(stepper.advance(k), k * r, fib)
+    def fit(samples):
+        # h is an Ehrhart polynomial of degree n, exact from k = 0, so a
+        # window on which the degree-(n+1) weight fits also fits h
+        if flag.trivial:
+            wpoly = ExactPolynomial((Fraction(0),), 0)
+        else:
+            wpoly = fit_polynomial(_column(samples, 1), n + 1, options.guard)
+        return wpoly, fit_polynomial(_column(samples, 0), n, options.guard)
 
-    wpoly, wsamples = _fit_with_extension(sample, n + 1, options, n)
-    hpoly, _ = _fit_with_extension(
-        lambda k: counts[k] if k in counts else hilbert_at(variety, r, k),
-        n, options, n)
-    df = df_from_fits(wpoly, hpoly, n)
-    report = DFReport(df=df, r=r, pipeline="counting", trivial=False,
+    (wpoly, hpoly), samples = _fit_with_extension(sample, fit, options, n)
+    report = DFReport(df=df_from_fits(wpoly, hpoly, n), r=r,
+                      pipeline="counting", trivial=flag.trivial,
                       weight_poly=wpoly, hilbert_poly=hpoly,
                       chow=chow_number(wpoly, hpoly, n))
     report.checks = _check_battery(variety, flag, r, wpoly, hpoly)
-    if _semiample_note:
-        report.notes.append(_semiample_note)
+    if note:
+        report.notes.append(note)
     # closure comparison doubles as an integral-closedness detector
     if closure:
-        report.integrally_closed = closure_samples == wsamples
+        closure_samples = _column(samples, 2)
+        report.integrally_closed = closure_samples == _column(samples, 1)
         try:
             cpoly = fit_polynomial(closure_samples, n + 1, options.guard)
             report.closure_df = df_from_fits(cpoly, hpoly, n)
@@ -563,8 +594,6 @@ def evaluate(variety, flag, r, pipeline="both", options=None):
     they must coincide, otherwise the intersection pipeline gives a lower
     bound.  Disagreement outside those rules raises ConsistencyError.
     """
-    from .intersection_engine import df_intersection
-
     options = options or FitOptions()
     if pipeline not in ("counting", "intersection", "both"):
         raise ValueError("unknown pipeline %r" % (pipeline,))

@@ -25,7 +25,6 @@ from dflab.hull import extreme_points, volume_of_points
 from dflab.intlinalg import dot
 from dflab.lattice_geometry import (
     _intersection_numbers,
-    _lattice_points,
     fibres,
 )
 
@@ -116,7 +115,7 @@ def test_ehrhart_matches_oracle_scan_f1(k):
     assert sorted(v.lattice_points(k)) == sorted(oracles.f1_points(k))
 
 
-# _lattice_points walks the box over the first n-1 coordinates and reads
+# lattice_points walks the box over the first n-1 coordinates and reads
 # each fibre's interval of the last coordinate off the facets; filtering the
 # whole box through every facet is the reference, order included.
 
@@ -167,10 +166,10 @@ def point_sets(n):
 @example(FLAT_FACETS[1])
 @example(FLAT_FACETS[2])
 def test_lattice_points_match_box_filter(points):
-    poly = polytope_of(points)
-    assume(poly is not None)
+    v = variety_of(points)
+    assume(v is not None)
     for k in range(5):
-        assert _lattice_points(poly, k) == box_filter(poly, k)
+        assert v.lattice_points(k) == box_filter(v.polytope, k)
 
 
 def test_flat_facet_examples_have_a_flat_facet():

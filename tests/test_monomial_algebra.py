@@ -20,12 +20,10 @@ from dflab import (
     cox_lift,
     hirzebruch_anticanonical,
     newton_polyhedron,
-    phi_value,
     projective_space,
-    t_degree,
     validate_flag_ideal,
 )
-from dflab.monomial_algebra import minimalize
+from dflab.monomial_algebra import minimalize, phi_value, t_degree
 
 
 def ideal(nvars, *gens):

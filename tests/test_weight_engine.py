@@ -609,8 +609,8 @@ def test_df_counting_enumerates_each_sample_once(monkeypatch):
     assert all(s % r == 0 for s in scales)
     assert sorted(sampled) == list(range(1, len(sampled) + 1))
     assert len(sampled) >= v.dim + 6
-    # the Hilbert fit reuses the counts of the sampled k
-    assert not set(hilbert_ks) & set(sampled)
+    # the Hilbert fit reads the counts of the sampled k, never hilbert_at
+    assert hilbert_ks == []
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +740,37 @@ def test_trivial_flag_reports_zero():
     assert rep.chow == 0
     assert rep.weight_poly(7) == 0
     assert rep.checks["base_weight_vanishes"]
+
+
+def test_trivial_flag_window_is_decided_by_the_hilbert_fit():
+    # the zero weight needs no samples: on a window of six samples, one
+    # short of a degree-3 fit, h (degree 2) fits and DF is 0
+    v = projective_space(2, 1)
+    rep = df_counting(v, flag_of([[(0, 0)]], 2), 1,
+                      FitOptions(window=(1, 6), cap=6))
+    assert rep.df == 0
+    assert rep.weight_poly.to_json() == {"coefficients": ["0"],
+                                         "valid_from": 0}
+    assert rep.hilbert_poly.to_json() == {
+        "coefficients": ["1", "3/2", "1/2"], "valid_from": 1}
+
+
+def test_hilbert_fit_shares_the_weight_window(monkeypatch):
+    # the weight of m on P^2 needs more than the window (3, 4), so the
+    # window is extended; h fitted on the extended window is the same
+    # polynomial, valid from the same k0, as hilbert_polynomial's fit
+    v = projective_space(2, 1)
+    options = FitOptions(window=(3, 4))
+    scales = []
+    enumerate_fibres = we.fibres
+    monkeypatch.setattr(we, "fibres", lambda poly, k: scales.append(k)
+                        or enumerate_fibres(poly, k))
+    rep = df_counting(v, flag_of([[(1, 0), (0, 1)]], 2), 1, options)
+    monkeypatch.undo()
+    assert max(scales) > 4
+    want = hilbert_polynomial(v, 1, options).to_json()
+    assert rep.hilbert_poly.to_json() == want
+    assert want["valid_from"] == 3
 
 
 def test_counting_detects_quasi_regime():
