@@ -172,11 +172,8 @@ def compute_envelope(job):
     r = as_integer(job.get("r", 1), "r")
     if r < 1:
         raise InvalidInput("r must be a positive integer")
-    pipeline = job.get("pipeline", "both")
-    if pipeline not in ("counting", "intersection", "both"):
-        raise InvalidInput("unknown pipeline %r" % (pipeline,))
-    options = _fit_options(job)
-    report = evaluate(variety, flag, r, pipeline=pipeline, options=options)
+    report = evaluate(variety, flag, r, pipeline=job.get("pipeline", "both"),
+                      options=_fit_options(job))
     return {
         "job": job,
         "flag": {

@@ -123,6 +123,9 @@ def extreme_points(points):
     if len(points) < 2:
         return points
     coords = _rank_coords(points)
+    if len(points) == len(coords) + 1:
+        # m + 1 points of affine rank m are a simplex's vertices
+        return points
     flat = [tuple(p[i] for i in coords) for p in points]
     return _vertices(points, flat, facets_of_points(flat))
 

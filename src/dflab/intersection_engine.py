@@ -29,7 +29,6 @@ from math import factorial
 from .errors import ExponentTooSmall, UnsupportedMode
 from .hull import lattice_volume
 from .intlinalg import dot, solve_unique
-from .monomial_algebra import newton_polyhedron
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ def lower_hull_integral(variety, flag, r):
 
         integral of phi = sum over F of order_F * facedeg_F / (n+1)!
     """
-    np_ = newton_polyhedron(flag)
+    np_ = flag.polyhedron
     _check_exponent(variety, np_, r)
     return Fraction(sum(f.order * face_degree(flag, f) for f in np_.facets),
                     factorial(variety.dim + 1))
@@ -165,12 +164,6 @@ def _polyhedron_vertices(halves, n):
     return sorted(out)
 
 
-def exceptional_data(flag):
-    """Ray contributions of every compact facet of the Newton polyhedron."""
-    np_ = newton_polyhedron(flag)
-    return np_, [(f, f.normal, f.order, sum(f.normal) - 1) for f in np_.facets]
-
-
 def face_degree(flag, f):
     """Lattice-normalized volume of a compact facet of the Newton polyhedron.
 
@@ -196,22 +189,21 @@ def df_intersection(variety, flag, r):
         raise UnsupportedMode(
             "the closed formula needs a point-supported flag ideal")
     ln, lk = variety.intersection_numbers()
-    ln_r = ln * r ** n
-    lk_r = lk * r ** (n - 1)
-    np_, raw = exceptional_data(flag)
+    np_ = flag.polyhedron
     _check_exponent(variety, np_, r)
-    rays = sorted((RayContribution(normal=w, order=order, discrepancy=disc,
+    rays = sorted((RayContribution(normal=f.normal, order=f.order,
+                                   discrepancy=sum(f.normal) - 1,
                                    face_degree=face_degree(flag, f))
-                   for f, w, order, disc in raw),
+                   for f in np_.facets),
                   key=lambda ray: ray.normal)
     # the top power upstairs is the facet sum of lower_hull_integral
-    # times -(n+1)!; T3 weighs the same face degrees by the discrepancy
-    le_power = Fraction(-sum(ray.order * ray.face_degree for ray in rays))
-    t1 = -n * lk_r * le_power
-    t2 = Fraction(0)
-    t3 = (n + 1) * ln_r * sum(ray.discrepancy * ray.face_degree
-                              for ray in rays)
-    df = Fraction(t1 + t2 + t3, 2 * factorial(n) * factorial(n + 1))
+    # times -(n+1)!; T3 weighs the same face degrees by the discrepancy,
+    # and only DF is not an integer
+    le_power = -sum(ray.order * ray.face_degree for ray in rays)
+    t1 = -n * lk * r ** (n - 1) * le_power
+    t3 = (n + 1) * ln * r ** n * sum(ray.discrepancy * ray.face_degree
+                                     for ray in rays)
     return DecompositionReport(
-        t1=Fraction(t1), t2=t2, t3=Fraction(t3), df=df,
-        le_power=le_power, rays=tuple(rays), r=r, trivial=False)
+        t1=Fraction(t1), t2=Fraction(0), t3=Fraction(t3),
+        df=Fraction(t1 + t3, 2 * factorial(n) * factorial(n + 1)),
+        le_power=Fraction(le_power), rays=tuple(rays), r=r, trivial=False)

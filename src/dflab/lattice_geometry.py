@@ -39,6 +39,7 @@ class PolarizedToricVariety:
     edge_directions: tuple   # primitive generators of the cone at chart_vertex
     chart_matrix: tuple      # tight facet normals, row j dual to edge j
     smooth: bool             # every vertex cone unimodular
+    numbers: tuple           # (L^n, L^(n-1).K), computed by make_variety
 
     @property
     def dim(self):
@@ -55,7 +56,7 @@ class PolarizedToricVariety:
 
     def intersection_numbers(self):
         """(L^n, L^(n-1).K) for the polarization L and canonical divisor K."""
-        return _intersection_numbers(self.polytope)
+        return self.numbers
 
     def chart_coords(self, u, scale):
         """Coordinates of a lattice point of scale*P in the fixed chart.
@@ -210,6 +211,7 @@ def make_variety(vertices, chart_vertex=None):
         edge_directions=tuple(d for d, _ in frame),
         chart_matrix=tuple(a for _, a in frame),
         smooth=smooth,
+        numbers=_intersection_numbers(poly),
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     ChainViolation,
@@ -116,6 +117,12 @@ class FlagIdeal:
     @property
     def trivial(self):
         return not self.chain
+
+    @cached_property
+    def polyhedron(self):
+        """The flag's newton_polyhedron, built on first use and kept with
+        the flag: it does not depend on r or on the variety."""
+        return newton_polyhedron(self)
 
 
 def pure_powers(gens, idxs):
@@ -395,23 +402,16 @@ def phi_value(np_, x):
     return best
 
 
-_NP_CACHE = {}
-
-
 def newton_polyhedron(flag):
     """Compact lower facets of conv(support(J)) + nonnegative orthant.
 
     Defined for chart-mode, point-supported flags; the compact facets then
     cut out the region exactly, which is what the integral formulas need.
+    Each call builds the polyhedron anew; flag.polyhedron keeps one.
     """
-    key = (flag.nvars, tuple(i.gens for i in flag.chain), flag.mode,
-           flag.support)
-    if key in _NP_CACHE:
-        return _NP_CACHE[key]
     if flag.trivial:
-        np_ = NewtonPolyhedron(dim=flag.nvars + 1, big_n=0, vertices=(), facets=())
-        _NP_CACHE[key] = np_
-        return np_
+        return NewtonPolyhedron(dim=flag.nvars + 1, big_n=0, vertices=(),
+                                facets=())
     if flag.mode != "chart":
         raise UnsupportedMode("newton polyhedron is chart-mode only")
     if flag.support != "point":
@@ -432,10 +432,8 @@ def newton_polyhedron(flag):
             vertices=tuple(extreme_points(sorted(f.points)))))
     # facet vertices are vertices of the whole hull, so of their union's
     verts = tuple(sorted({p for f in facets for p in f.vertices}))
-    np_ = NewtonPolyhedron(dim=flag.nvars + 1, big_n=flag.big_n,
-                           vertices=verts, facets=tuple(facets))
-    _NP_CACHE[key] = np_
-    return np_
+    return NewtonPolyhedron(dim=flag.nvars + 1, big_n=flag.big_n,
+                            vertices=verts, facets=tuple(facets))
 
 
 def cox_lift(variety, flag):

@@ -170,52 +170,52 @@ def record_key(mode, chain_gens, r, variety, options=None):
 
 
 def _evaluate_task(task):
-    """One search record from (record_key, variety, mode, chain generators,
-    r, options); module level so worker processes can import it."""
-    key, variety, mode, chain_gens, r, options = task
-    nvars = variety.dim if mode == "chart" else len(variety.polytope.facets)
-    chain = [MonomialIdeal.make(nvars, gens) for gens in chain_gens]
-    rec = {
-        "key": key,
-        "mode": mode,
-        "chain": [[list(g) for g in gens] for gens in chain_gens],
-        "r": r,
-        "status": "ok",
-        "DF": None,
-        "DF_intersection": None,
-        "consistent": None,
-        "trivial": False,
-        "diagnosis": None,
-    }
-    try:
-        flag = validate_flag_ideal(
-            chain, mode=mode, variety=variety if mode == "cox" else None)
-        report = evaluate(variety, flag, r, pipeline="both", options=options)
-    except NotStabilized as exc:
-        rec["status"] = "undecided"
-        if exc.hint == "quasi_polynomial":
+    """The records of one chain from (variety, mode, chain of ideals,
+    (record_key, r) pairs, options), in pair order; module level so worker
+    processes can import it.  Every r reuses the chain's one flag."""
+    variety, mode, chain, pairs, options = task
+    flag = validate_flag_ideal(
+        chain, mode=mode, variety=variety if mode == "cox" else None)
+    records = []
+    for key, r in pairs:
+        rec = {
+            "key": key,
+            "mode": mode,
+            "chain": [[list(g) for g in i.gens] for i in chain],
+            "r": r,
+            "status": "ok",
+            "DF": None,
+            "DF_intersection": None,
+            "consistent": None,
+            "trivial": False,
+            "diagnosis": None,
+        }
+        records.append(rec)
+        try:
+            report = evaluate(variety, flag, r, pipeline="both",
+                              options=options)
+        except NotStabilized as exc:
+            rec["status"] = "undecided"
             rec["diagnosis"] = (
                 "weights follow a period-%d quasi-polynomial; the exponent "
-                "r=%d is too small for this ideal" % (exc.quasi_period, r))
+                "r=%d is too small for this ideal" % (exc.quasi_period, r)
+                if exc.hint == "quasi_polynomial" else
+                "weights did not stabilize inside the sample cap")
+        except ExponentTooSmall as exc:
+            rec["status"] = "undecided"
+            rec["diagnosis"] = str(exc)
+        except ConsistencyError as exc:
+            rec["status"] = "mismatch"
+            rec["diagnosis"] = str(exc)
         else:
-            rec["diagnosis"] = "weights did not stabilize inside the sample cap"
-        return rec
-    except ExponentTooSmall as exc:
-        rec["status"] = "undecided"
-        rec["diagnosis"] = str(exc)
-        return rec
-    except ConsistencyError as exc:
-        rec["status"] = "mismatch"
-        rec["diagnosis"] = str(exc)
-        return rec
-    rec["trivial"] = report.trivial
-    rec["DF"] = str(report.df)
-    if report.decomposition is not None:
-        rec["DF_intersection"] = str(report.decomposition.df)
-    rec["consistent"] = report.consistent
-    if report.notes:
-        rec["diagnosis"] = "; ".join(report.notes)
-    return rec
+            rec["trivial"] = report.trivial
+            rec["DF"] = str(report.df)
+            if report.decomposition is not None:
+                rec["DF_intersection"] = str(report.decomposition.df)
+            rec["consistent"] = report.consistent
+            if report.notes:
+                rec["diagnosis"] = "; ".join(report.notes)
+    return records
 
 
 @dataclass
@@ -293,29 +293,35 @@ def search_destabilizers(variety, bounds, options=None, workers=1,
     """Evaluate every chain within bounds at every exponent in r_list.
 
     Results come back in a deterministic order regardless of worker count.
-    With stream_path set, records are appended to a JSONL file as they
-    finish, and existing records in the file are reused instead of being
-    recomputed (resume semantics keyed by the content hash).
+    Each chain is one task that evaluates the exponents it still lacks, in
+    r_list order.  With stream_path set, a chain's records are appended to
+    a JSONL file when it finishes, and existing records in the file are
+    reused instead of being recomputed (resume semantics keyed by the
+    content hash).
     """
     options = options or FitOptions()
+    keys = []
     tasks = []
+    done = _load_stream(stream_path) if stream_path else {}
     for chain in enumerate_flag_ideals(variety, bounds):
         gens = tuple(i.gens for i in chain)
-        for r in bounds.r_list:
-            key = record_key(bounds.mode, gens, r, variety, options)
-            tasks.append((key, variety, bounds.mode, gens, r, options))
-    done = _load_stream(stream_path) if stream_path else {}
-    todo = [task for task in tasks if task[0] not in done]
+        pairs = [(record_key(bounds.mode, gens, r, variety, options), r)
+                 for r in bounds.r_list]
+        keys += [key for key, _ in pairs]
+        pairs = [(key, r) for key, r in pairs if key not in done]
+        if pairs:
+            tasks.append((variety, bounds.mode, chain, pairs, options))
 
-    parallel = workers and workers > 1 and len(todo) > 1
+    parallel = workers and workers > 1 and len(tasks) > 1
     with (open(stream_path, "a") if stream_path else nullcontext()) as fh, \
             (get_context("fork").Pool(workers) if parallel
              else nullcontext()) as pool:
-        for rec in (pool.imap if parallel else map)(_evaluate_task, todo):
-            done[rec["key"]] = rec
-            if fh:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-                fh.flush()
+        for recs in (pool.imap if parallel else map)(_evaluate_task, tasks):
+            for rec in recs:
+                done[rec["key"]] = rec
+                if fh:
+                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                    fh.flush()
 
-    return SearchReport(bounds=bounds, records=[done[t[0]] for t in tasks],
-                        total=len(tasks))
+    return SearchReport(bounds=bounds, records=[done[k] for k in keys],
+                        total=len(keys))

@@ -28,11 +28,7 @@ from .errors import (
 from .intersection_engine import df_intersection
 from .intlinalg import dot
 from .lattice_geometry import fibres
-from .monomial_algebra import (
-    LevelStepper,
-    newton_polyhedron,
-    pure_powers,
-)
+from .monomial_algebra import LevelStepper, pure_powers
 
 
 @dataclass(frozen=True)
@@ -279,10 +275,9 @@ def _closure_functionals(variety, flag, r):
     The chart map y = U (u - k r v0) is folded into the facet functional:
     a = U^T w and c = order + r <a, v0>, neither depending on k.
     """
-    np_ = newton_polyhedron(flag)
     cols = tuple(zip(*variety.chart_matrix))
     out = []
-    for f in np_.facets:
+    for f in flag.polyhedron.facets:
         w, t = f.normal[:-1], f.normal[-1]
         assert t > 0
         a = tuple(dot(w, col) for col in cols)
@@ -340,8 +335,13 @@ class FitOptions:
                 "guard must be at least 1, not %r" % (self.guard,))
 
     def window_for(self, n):
-        """The sample window used in dimension n."""
-        return self.window or (1, n + 6)
+        """The sample window used in dimension n; a cap below its top
+        raises InvalidInput, since the window could never be extended."""
+        lo, hi = self.window or (1, n + 6)
+        if self.cap < hi:
+            raise InvalidInput("fit cap %r is below the window top %d"
+                               % (self.cap, hi))
+        return lo, hi
 
 
 @dataclass
@@ -596,7 +596,9 @@ def evaluate(variety, flag, r, pipeline="both", options=None):
     """
     options = options or FitOptions()
     if pipeline not in ("counting", "intersection", "both"):
-        raise ValueError("unknown pipeline %r" % (pipeline,))
+        raise InvalidInput("unknown pipeline %r" % (pipeline,))
+    # every pipeline rejects a cap below the window, used or not
+    options.window_for(variety.dim)
 
     if pipeline == "intersection":
         deco = df_intersection(variety, flag, r)

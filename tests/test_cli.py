@@ -393,8 +393,12 @@ def test_worker_resolution_precedence(monkeypatch):
     ("search", _with(SEARCH_JOB, workers="two")),
     ("search", _with(SEARCH_JOB, bounds={"N_max": 1, "d_max": 2,
                                          "r_list": [1]})),
+    ("compute", _with(COMPUTE_JOB, K_range=[1, 8], K_cap=-5)),
+    ("compute", _with(COMPUTE_JOB, K_cap=4, pipeline="intersection")),
+    ("search", _with(SEARCH_JOB, K_cap=4)),
 ], ids=["r", "variety_n", "sides", "vertex_entry", "generator_entry",
-        "K_range_length", "workers", "bounds_without_g_max"])
+        "K_range_length", "workers", "bounds_without_g_max",
+        "K_cap_below_window", "K_cap_unused", "search_K_cap"])
 def test_malformed_job_fields_exit_one(tmp_path, capsys, command, job):
     code, out, err = run(capsys, [command, "--job", write_job(tmp_path, job)])
     assert code == 1

@@ -53,6 +53,9 @@ def point_sets(draw):
               (0, 1, 1), (1, 0, 1)]))
 # a line with repeats
 @example((3, [(0, 0, 0), (1, 1, 1), (2, 2, 2), (1, 1, 1), (3, 3, 3)]))
+# simplices, full-dimensional and on a tilted plane: all points are vertices
+@example((3, [(0, 0, 0), (1, 0, 0), (0, 2, 0), (0, 0, 3)]))
+@example((3, [(1, 0, 0), (0, 2, 0), (0, 0, 1), (1, 0, 0)]))
 # in R^4 an edge can lie on four facets: the midpoint (1, 1, 1, 1) of the
 # edge from the apex to the degree-4 vertex of a square-pyramid base
 @example((4, [(0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (2, 2, 0, 0),

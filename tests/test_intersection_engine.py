@@ -15,7 +15,6 @@ from dflab.hull import simplex_volume, triangulate_points, volume_of_points
 from dflab.intersection_engine import (
     _region_vertices,
     df_intersection,
-    exceptional_data,
     face_degree,
     lower_hull_integral,
 )
@@ -152,9 +151,9 @@ def test_lower_hull_integral_matches_region_reference(case):
 def test_exceptional_data_two_facets():
     # (x^3) + (x) t + (t^2) has a broken lower hull with two facets
     flag = flag_of([[(3,)], [(1,)]], 1)
-    _, rays = exceptional_data(flag)
-    facts = sorted((w, order, disc, tuple(sorted(f.vertices)))
-                   for f, w, order, disc in rays)
+    facts = sorted((f.normal, f.order, sum(f.normal) - 1,
+                    tuple(sorted(f.vertices)))
+                   for f in newton_polyhedron(flag).facets)
     assert facts == [
         ((1, 1), 2, 1, ((0, 2), (1, 1))),
         ((1, 2), 3, 2, ((1, 1), (3, 0))),
@@ -163,16 +162,16 @@ def test_exceptional_data_two_facets():
 
 def test_face_degree_pins():
     flag = flag_of([[(2,)]], 1)
-    _, rays = exceptional_data(flag)
-    assert [face_degree(flag, f) for f, *_ in rays] == [1]
+    facets = newton_polyhedron(flag).facets
+    assert [face_degree(flag, f) for f in facets] == [1]
 
     flag = flag_of([[(2, 0), (1, 1), (0, 2)]], 2)
-    _, rays = exceptional_data(flag)
-    assert [face_degree(flag, f) for f, *_ in rays] == [2]
+    facets = newton_polyhedron(flag).facets
+    assert [face_degree(flag, f) for f in facets] == [2]
 
     flag = flag_of([[(3,)], [(1,)]], 1)
-    _, rays = exceptional_data(flag)
-    degs = {f.normal: face_degree(flag, f) for f, *_ in rays}
+    facets = newton_polyhedron(flag).facets
+    degs = {f.normal: face_degree(flag, f) for f in facets}
     assert degs == {(1, 1): 1, (1, 2): 1}
 
 

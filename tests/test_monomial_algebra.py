@@ -1,5 +1,7 @@
 """Ideal arithmetic, flag validation, level functions, Newton polyhedra."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 from math import ceil
 
@@ -8,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import dflab
+import dflab.monomial_algebra as ma
 from dflab import (
     ChainViolation,
     FlagIdeal,
@@ -315,6 +319,33 @@ def test_newton_polyhedron_mode_guards():
         newton_polyhedron(chart_flag(ideal(2, (1, 0))))
     trivial = validate_flag_ideal([MonomialIdeal.zero(2)])
     assert newton_polyhedron(trivial).facets == ()
+
+
+def test_flag_keeps_its_polyhedron(monkeypatch):
+    calls = []
+    build = ma.newton_polyhedron
+
+    def counted(flag):
+        calls.append(flag)
+        return build(flag)
+
+    monkeypatch.setattr(ma, "newton_polyhedron", counted)
+    flag = chart_flag(ideal(2, (2, 0), (1, 1), (0, 2)))
+    assert flag.polyhedron is flag.polyhedron
+    assert flag.polyhedron == build(flag)
+    # an equal flag is another object and builds its own
+    assert chart_flag(ideal(2, (2, 0), (1, 1), (0, 2))).polyhedron.facets
+    assert len(calls) == 2
+
+
+def test_no_module_holds_mutable_state():
+    # caches live on the objects they derive from, not in module globals
+    for info in pkgutil.iter_modules(dflab.__path__):
+        mod = importlib.import_module("dflab." + info.name)
+        for name, value in vars(mod).items():
+            if not (name.startswith("__") and name.endswith("__")):
+                assert not isinstance(value, (dict, list, set)), \
+                    "%s.%s" % (info.name, name)
 
 
 def test_phi_values():

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import dflab.monomial_algebra as ma
 import dflab.stability_lab as lab
-from dflab.errors import InvalidInput
+from dflab.errors import ExponentTooSmall, InvalidInput, NotStabilized
 from dflab.lattice_geometry import (
     box,
     hirzebruch_anticanonical,
@@ -129,7 +130,14 @@ def test_record_key_is_stable_and_sensitive():
     assert key == record_key("chart", gens, 1, v, FitOptions(window=(1, 7)))
     assert key != record_key("chart", gens, 1, v, FitOptions(window=(1, 4)))
     assert key != record_key("chart", gens, 1, v, FitOptions(guard=3))
-    assert key != record_key("chart", gens, 1, v, FitOptions(cap=4))
+    assert key != record_key("chart", gens, 1, v, FitOptions(cap=12))
+
+
+def test_record_key_rejects_a_cap_below_the_window():
+    # the default window on P^1 is (1, 7), which a cap of 4 cannot hold
+    v = projective_space(1, 1)
+    with pytest.raises(InvalidInput):
+        record_key("chart", (((1,),),), 1, v, FitOptions(cap=4))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +196,60 @@ def test_search_stream_and_resume(tmp_path, monkeypatch):
     second = search_destabilizers(v, LINE_BOUNDS, stream_path=str(stream))
     assert second.records == first.records
     assert stream.read_text().splitlines() == lines
+
+
+def test_search_resume_evaluates_only_missing_exponents(tmp_path,
+                                                       monkeypatch):
+    v = projective_space(1, 1)
+    fresh = tmp_path / "fresh.jsonl"
+    full = search_destabilizers(v, LINE_BOUNDS, stream_path=str(fresh))
+    lines = fresh.read_text().splitlines()
+    # an earlier run with r_list (1,) left only the r=1 records
+    stream = tmp_path / "records.jsonl"
+    first = [line for line in lines if json.loads(line)["r"] == 1]
+    stream.write_text("".join(line + "\n" for line in first))
+    seen = []
+
+    def spy(variety, flag, r, **kwargs):
+        seen.append(r)
+        return evaluate(variety, flag, r, **kwargs)
+
+    monkeypatch.setattr(lab, "evaluate", spy)
+    resumed = search_destabilizers(v, LINE_BOUNDS, stream_path=str(stream))
+    assert seen == [2, 2]
+    assert resumed.records == full.records
+    assert stream.read_text().splitlines() == first + [
+        line for line in lines if json.loads(line)["r"] == 2]
+
+
+def test_chart_search_builds_one_polyhedron_per_chain(monkeypatch):
+    v = projective_space(2, 2)
+    bounds = SearchBounds(n_max=1, d_max=2, g_max=2, r_list=(1, 2, 3))
+    chains = enumerate_flag_ideals(v, bounds)
+    calls = []
+    build = ma.newton_polyhedron
+
+    def counted(flag):
+        calls.append(flag.chain)
+        return build(flag)
+
+    monkeypatch.setattr(ma, "newton_polyhedron", counted)
+    report = search_destabilizers(v, bounds)
+    assert calls == chains
+    # each record holds what evaluate gives its (chain, r) on its own
+    assert len(report.records) == 3 * len(chains)
+    for rec, (chain, r) in zip(report.records,
+                               [(c, r) for c in chains for r in (1, 2, 3)]):
+        assert (rec["chain"], rec["r"]) == (
+            [[list(g) for g in i.gens] for i in chain], r)
+        try:
+            rep = evaluate(v, validate_flag_ideal(list(chain)), r)
+        except (NotStabilized, ExponentTooSmall):
+            assert rec["status"] == "undecided"
+            continue
+        assert rec["status"] == "ok"
+        assert (rec["DF"], rec["DF_intersection"], rec["consistent"]) == (
+            str(rep.df), str(rep.decomposition.df), rep.consistent)
 
 
 def test_search_resume_drops_torn_last_line(tmp_path):

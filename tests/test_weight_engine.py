@@ -809,8 +809,41 @@ def test_closure_fit_on_open_flag():
 
 def test_evaluate_rejects_unknown_pipeline():
     v = projective_space(1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         evaluate(v, flag_of([[(2,)]], 1), 1, pipeline="fast")
+
+
+def test_evaluate_rejects_a_cap_below_the_window():
+    # the default window on P^1 is (1, 7); the closed formula samples
+    # nothing, but the options are checked for it too
+    v = projective_space(1, 2)
+    for pipeline in ("counting", "intersection", "both"):
+        with pytest.raises(InvalidInput):
+            evaluate(v, flag_of([[(2,)]], 1), 1, pipeline=pipeline,
+                     options=FitOptions(cap=4))
+    with pytest.raises(InvalidInput):
+        FitOptions(window=(1, 8), cap=-5).window_for(1)
+    assert FitOptions(window=(1, 8), cap=8).window_for(1) == (1, 8)
+
+
+def test_evaluate_builds_the_polyhedron_once(monkeypatch):
+    # the closure count and the closed formula read the same polyhedron,
+    # kept on the flag, so no r builds it again
+    calls = []
+    build = ma.newton_polyhedron
+
+    def counted(flag):
+        calls.append(flag)
+        return build(flag)
+
+    monkeypatch.setattr(ma, "newton_polyhedron", counted)
+    v = projective_space(2, 2)
+    flag = flag_of([[(2, 0), (1, 1), (0, 2)]], 2)
+    for r in (1, 2):
+        rep = evaluate(v, flag, r, pipeline="both")
+        assert rep.consistent is True
+        assert rep.closure_df == rep.decomposition.df
+    assert calls == [flag]
 
 
 def test_evaluate_counting_diagnosis_takes_precedence():
