@@ -6,8 +6,9 @@ Three subcommands:
   verify    run the self-check battery, or re-run a job against its cache
   search    sweep every chain of monomial ideals inside stated bounds
 
-Exit codes: 0 success, 1 invalid input, 2 the exponent or sample range was
-too small to decide, 3 an exact consistency check failed.
+Exit codes: 0 success, 1 invalid input or a path that cannot be read or
+written, 2 the exponent or sample range was too small to decide, 3 an exact
+consistency check failed.
 """
 
 from __future__ import annotations
@@ -409,7 +410,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InvalidInput as exc:
+    except (InvalidInput, OSError) as exc:
+        # OSError: a job, stream or cache path that cannot be read or written
         sys.stderr.write("invalid input: %s\n" % exc)
         return 1
     except (NotStabilized, ExponentTooSmall) as exc:

@@ -218,8 +218,9 @@ def lattice_volume(points, normal):
         norm = flat[-1][0] - flat[0][0]
     else:
         apex = flat[0]
-        norm = sum((dot(g.normal, apex) - g.offset)
-                   * lattice_volume(g.points, g.normal)
-                   for g in facets_of_points(flat))
+        # a facet through the apex has height 0 and is not recursed into
+        norm = sum(h * lattice_volume(g.points, g.normal)
+                   for g in facets_of_points(flat)
+                   if (h := dot(g.normal, apex) - g.offset))
     assert norm % normal[i] == 0
     return norm // abs(normal[i])

@@ -271,7 +271,8 @@ def _load_stream(path):
 
     A last line without its newline is the tail of a write that was cut
     off; it is dropped and truncated from the file, so that appended
-    records start on a line of their own.
+    records start on a line of their own.  A complete line that is not a
+    JSON object with a "key" raises InvalidInput naming its number.
     """
     if not os.path.exists(path):
         return {}
@@ -281,10 +282,15 @@ def _load_stream(path):
         if end < len(data):
             fh.truncate(end)
     done = {}
-    for line in data[:end].decode().splitlines():
+    for number, line in enumerate(data[:end].splitlines(), 1):
         if line.strip():
-            rec = json.loads(line)
-            done[rec["key"]] = rec
+            try:
+                rec = json.loads(line)
+                done[rec["key"]] = rec
+            except (ValueError, KeyError, TypeError):
+                raise InvalidInput(
+                    "line %d of the stream %s is not a JSON object with a "
+                    "key" % (number, path)) from None
     return done
 
 

@@ -484,3 +484,31 @@ def test_worker_count_below_one_exits_one(tmp_path, capsys, monkeypatch,
     assert out == ""
     assert "must be at least 1" in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# a path that cannot be read or written, or a stream line that is not a
+# record, is invalid input too: exit 1 with a one-line message
+
+@pytest.mark.parametrize("argv, stream", [
+    (["compute", "--job", "{tmp}/missing.json"], None),
+    (["search", "--job", "{search}", "--stream", "{tmp}/no/s.jsonl"], None),
+    (["compute", "--job", "{compute}", "--cache-dir", "{compute}"], None),
+    (["search", "--job", "{search}", "--stream", "{tmp}/s.jsonl"],
+     "not json\n"),
+    (["search", "--job", "{search}", "--stream", "{tmp}/s.jsonl"],
+     '{"DF": "0"}\n'),
+], ids=["missing_job", "stream_directory", "cache_dir_is_a_file",
+        "stream_not_json", "stream_without_key"])
+def test_unusable_paths_and_streams_exit_one(tmp_path, capsys, argv, stream):
+    paths = {"tmp": str(tmp_path),
+             "compute": write_job(tmp_path, COMPUTE_JOB),
+             "search": write_job(tmp_path, SEARCH_JOB, "search.json")}
+    if stream is not None:
+        (tmp_path / "s.jsonl").write_text(stream)
+    code, out, err = run(capsys, [a.format(**paths) for a in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("invalid input: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err

@@ -161,6 +161,28 @@ def test_lattice_volume_recursion_stops_at_segments(monkeypatch):
     assert seen and min(seen) >= 2
 
 
+def test_lattice_volume_skips_the_facets_through_its_apex(monkeypatch):
+    # a facet through the apex has height 0 over it and adds nothing to
+    # the facet sum, so its volume is not taken: the unit cube recurses
+    # into its 3 squares off the origin, each into its 2 edges off its own
+    # apex; the unit simplex into its one far triangle and one far edge
+    calls = []
+    volume = hull.lattice_volume
+
+    def recorded(points, normal):
+        calls.append(normal)
+        return volume(points, normal)
+
+    monkeypatch.setattr(hull, "lattice_volume", recorded)
+    cube = [(x, y, z, 0) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    assert hull.lattice_volume(cube, (0, 0, 0, 1)) == 6
+    assert len(calls) == 1 + 3 * (1 + 2)
+    calls.clear()
+    simplex = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
+    assert hull.lattice_volume(simplex, (0, 0, 0, 1)) == 1
+    assert len(calls) == 3
+
+
 def test_lattice_volume_rejects_points_off_the_hyperplane():
     with pytest.raises(InvalidInput):
         lattice_volume([(0, 0, 0), (1, 0, 0), (0, 1, 1)], (0, 0, 1))

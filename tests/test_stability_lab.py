@@ -269,6 +269,21 @@ def test_search_resume_drops_torn_last_line(tmp_path):
     assert [json.loads(line) for line in text.splitlines()] == first.records
 
 
+@pytest.mark.parametrize("line", ["not json", '{"DF": "0"}', "[1, 2]"],
+                         ids=["not_json", "no_key", "not_an_object"])
+def test_search_resume_rejects_a_malformed_line(tmp_path, line):
+    v = projective_space(1, 1)
+    bounds = SearchBounds(n_max=1, d_max=2, g_max=1, r_list=(2,))
+    stream = tmp_path / "records.jsonl"
+    search_destabilizers(v, bounds, stream_path=str(stream))
+    lines = stream.read_text().splitlines(keepends=True)
+    stream.write_text(lines[0] + line + "\n" + lines[1][:10])
+    with pytest.raises(InvalidInput, match="line 2 of the stream"):
+        search_destabilizers(v, bounds, stream_path=str(stream))
+    # the torn tail is still cut off; the complete lines are kept
+    assert stream.read_text() == lines[0] + line + "\n"
+
+
 def test_search_resume_ignores_records_of_other_fit_options(tmp_path):
     # records left undecided by a narrow window and a low cap must not be
     # replayed by a resume that runs with the default options

@@ -475,6 +475,45 @@ def test_df_counting_steps_each_k_once(monkeypatch):
         assert w == reference_weight(F1, PAST_THE_BOX, 1, k)
 
 
+def test_weight_of_no_tables_is_zero():
+    # a trivial flag's Newton polyhedron has no compact facet, so its
+    # closure count reads no table and weighs 0
+    v = projective_space(2, 2)
+    assert we._weight([], 4, fibres(v.polytope, 4)) == 0
+    trivial = flag_of([[(0, 0)]], 2)
+    assert we._closure_tables(v, trivial, 2, 3) == []
+    assert closure_weight_at(v, trivial, 2, 3) == 0
+
+
+def test_df_counting_reads_the_closure_through_weight(monkeypatch):
+    # a point-supported chart flag's closure count is a second _weight
+    # call per sample, on the same fibres; (x^3, y^3) is not integrally
+    # closed, so the two calls at a scale return different weights.  A
+    # cox flag counts no closure: one call per sample.
+    calls = []
+    weight = we._weight
+
+    def recorded_weight(tables, scale, fib):
+        calls.append((scale, weight(tables, scale, fib)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(we, "_weight", recorded_weight)
+    v = projective_space(2, 2)
+    flag = flag_of([[(3, 0), (0, 3)]], 2)
+    report = df_counting(v, flag, 2)
+    chart_calls = sorted(calls)
+    calls.clear()
+    df_counting(F1, PAST_THE_BOX, 1, FitOptions(window=(3, 9)))
+    monkeypatch.undo()
+    assert report.integrally_closed is False
+    assert report.closure_df == 15
+    ks = range(1, chart_calls[-1][0] // 2 + 1)
+    assert chart_calls == sorted(
+        [(2 * k, weight_at(v, flag, 2, k)) for k in ks]
+        + [(2 * k, closure_weight_at(v, flag, 2, k)) for k in ks])
+    assert [scale for scale, _ in calls] == list(range(3, 10))
+
+
 def test_negative_k_is_invalid_input():
     # J^-1 is not a power of the flag: the error names k, for a trivial
     # flag too, and is not the stepper's step-back error
