@@ -73,11 +73,9 @@ def build_variety(obj):
             if "chart_vertex" in obj else None
         return make_variety(verts, chart)
     if kind == "projective_space":
-        return projective_space(as_integer(obj.get("n", 1), "n"),
-                                as_integer(obj.get("d", 1), "d"))
+        return projective_space(obj.get("n", 1), obj.get("d", 1))
     if kind == "box":
-        sides = _list(obj.get("sides", [1]), "sides")
-        return box([as_integer(s, "side") for s in sides])
+        return box(_list(obj.get("sides", [1]), "sides"))
     if kind == "hirzebruch":
         return hirzebruch_anticanonical()
     raise InvalidInput("unknown variety type %r" % (kind,))

@@ -7,10 +7,10 @@ class InvalidInput(ValueError):
 
 
 def as_integer(value, what):
-    """value as an int, or InvalidInput naming what it is; a value that
-    int() would change, such as 1.9 or "2", is not an integer."""
+    """value as an int, or InvalidInput naming what it is; a bool, or a
+    value that int() would change, such as 1.9 or "2", is not an integer."""
     try:
-        out = int(value)
+        out = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError):
         out = None
     if out is None or out != value:

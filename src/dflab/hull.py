@@ -40,22 +40,19 @@ def _rank_coords(points):
     return pivot_columns([[x - y for x, y in zip(p, p0)] for p in points[1:]])
 
 
-def facets_of_points(points, strictly_positive=False):
-    """Facets of conv(points), assumed full-dimensional in its ambient space.
+def facets_of_points(points):
+    """Facets of conv(points), sorted by (normal, offset).
 
-    With strictly_positive=True only facets whose inner normal has all
-    coordinates > 0 are returned; for a set of the form S + (orthant rays)
-    these are exactly the compact faces of the lower hull.
+    A set of affine rank d in R^d gets its facets.  A set of rank d - 1
+    spans one hyperplane and gets it in both orientations, each holding
+    every point; a set of lower rank spans no hyperplane and gets none.
+    In R^1 the facets are the two ends, the lower one first.
     """
     points = sorted(set(tuple(p) for p in points))
     d = len(points[0])
     if d == 1:
-        lo = min(p[0] for p in points)
-        hi = max(p[0] for p in points)
-        out = [Facet((1,), lo, ((lo,),))]
-        if not strictly_positive:
-            out.append(Facet((-1,), -hi, ((hi,),)))
-        return out
+        lo, hi = points[0][0], points[-1][0]
+        return [Facet((1,), lo, ((lo,),)), Facet((-1,), -hi, ((hi,),))]
     seen = {}
     # a subset inside a facet found already spans its hyperplane or none
     done = set()
@@ -67,17 +64,12 @@ def facets_of_points(points, strictly_positive=False):
             continue
         c0 = dot(w0, sub[0])
         vals = [dot(w0, p) for p in points]
-        # try both orientations; if the points are not full-dimensional both
-        # can support, and only the strictly positive one matters then
         for w, c, ok in ((w0, c0, min(vals) >= c0),
                          (tuple(-x for x in w0), -c0, max(vals) <= c0)):
-            if not ok:
-                continue
-            if strictly_positive and not all(x > 0 for x in w):
-                continue
-            on = tuple(p for p, v in zip(points, vals) if v == c0)
-            seen[w, c] = Facet(w, c, on)
-            done.update(combinations(on, d))
+            if ok:
+                on = tuple(p for p, v in zip(points, vals) if v == c0)
+                seen[w, c] = Facet(w, c, on)
+                done.update(combinations(on, d))
     return [seen[k] for k in sorted(seen)]
 
 

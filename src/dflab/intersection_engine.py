@@ -87,7 +87,7 @@ def lower_hull_integral(variety, flag, r):
     """
     np_ = flag.polyhedron
     _check_exponent(variety, np_, r)
-    return Fraction(sum(f.order * face_degree(flag, f) for f in np_.facets),
+    return Fraction(sum(f.order * face_degree(f) for f in np_.facets),
                     factorial(variety.dim + 1))
 
 
@@ -164,11 +164,11 @@ def _polyhedron_vertices(halves, n):
     return sorted(out)
 
 
-def face_degree(flag, f):
+def face_degree(f):
     """Lattice-normalized volume of a compact facet of the Newton polyhedron.
 
     The facet spans an affine hyperplane with primitive normal f.normal,
-    whose length is the dimension; the flag is not consulted.
+    whose length is the dimension.
     """
     return lattice_volume(f.vertices, f.normal)
 
@@ -193,7 +193,7 @@ def df_intersection(variety, flag, r):
     _check_exponent(variety, np_, r)
     rays = sorted((RayContribution(normal=f.normal, order=f.order,
                                    discrepancy=sum(f.normal) - 1,
-                                   face_degree=face_degree(flag, f))
+                                   face_degree=face_degree(f))
                    for f in np_.facets),
                   key=lambda ray: ray.normal)
     # the top power upstairs is the facet sum of lower_hull_integral

@@ -20,6 +20,7 @@ from .errors import (
     NonUnimodularChartVertex,
     NotFullDimensional,
     PointOutsidePolytope,
+    as_integer,
 )
 from .hull import _vertices, facets_of_points, lattice_volume
 from .intlinalg import det, dot, integer_inverse, rank
@@ -167,11 +168,11 @@ def make_variety(vertices, chart_vertex=None):
         except (TypeError, ValueError):
             raise InvalidInput("vertex %r has a non-numeric entry" % (t,)) \
                 from None
-        if p != t:
+        if p != t or any(isinstance(x, bool) for x in t):
             raise NonLatticeVertex("vertex %r has a non-integer entry" % (t,))
         pts.append(p)
-    if not pts:
-        raise InvalidInput("empty vertex list")
+    if not pts or not pts[0]:
+        raise InvalidInput("empty vertex list or vertex")
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise InvalidInput("vertices of mixed dimension")
@@ -189,7 +190,8 @@ def make_variety(vertices, chart_vertex=None):
     poly = LatticePolytope(dim=n, vertices=tuple(uniq), facets=facets)
 
     try:
-        v0 = tuple(int(x) for x in chart_vertex) if chart_vertex is not None else uniq[0]
+        v0 = uniq[0] if chart_vertex is None else \
+            tuple(as_integer(x, "chart vertex entry") for x in chart_vertex)
     except (TypeError, ValueError):
         raise InvalidInput(
             "chart vertex %r is not a vertex" % (chart_vertex,)) from None
@@ -220,6 +222,7 @@ def make_variety(vertices, chart_vertex=None):
 
 def projective_space(n, d=1):
     """d-fold dilated standard simplex: projective n-space with O(d)."""
+    n, d = as_integer(n, "n"), as_integer(d, "d")
     if n < 1 or d < 1:
         raise InvalidInput("need n >= 1 and d >= 1")
     verts = [tuple(0 for _ in range(n))]
@@ -230,7 +233,7 @@ def projective_space(n, d=1):
 
 def box(sides):
     """Product of segments: (P^1)^n with the product polarization."""
-    sides = tuple(int(s) for s in sides)
+    sides = tuple(as_integer(s, "side") for s in sides)
     if any(s < 1 for s in sides):
         raise InvalidInput("side lengths must be positive")
     n = len(sides)

@@ -424,12 +424,16 @@ def newton_polyhedron(flag):
         for g in ideal.gens:
             pts.add(g + (j,))
     pts.add(tuple(0 for _ in range(flag.nvars)) + (flag.big_n,))
+    # a face of conv(S) + orthant is compact iff its inner normal is
+    # strictly positive, and is then a face of conv(S); pure powers alone
+    # span one hyperplane, found in both orientations, and one is kept
     facets = []
-    for f in facets_of_points(sorted(pts), strictly_positive=True):
-        assert f.offset > 0
-        facets.append(ExceptionalFacet(
-            normal=f.normal, order=int(f.offset),
-            vertices=tuple(extreme_points(sorted(f.points)))))
+    for f in facets_of_points(sorted(pts)):
+        if min(f.normal) > 0:
+            assert f.offset > 0
+            facets.append(ExceptionalFacet(
+                normal=f.normal, order=int(f.offset),
+                vertices=tuple(extreme_points(sorted(f.points)))))
     # facet vertices are vertices of the whole hull, so of their union's
     verts = tuple(sorted({p for f in facets for p in f.vertices}))
     return NewtonPolyhedron(dim=flag.nvars + 1, big_n=flag.big_n,

@@ -396,9 +396,13 @@ def test_worker_resolution_precedence(monkeypatch):
     ("compute", _with(COMPUTE_JOB, K_range=[1, 8], K_cap=-5)),
     ("compute", _with(COMPUTE_JOB, K_cap=4, pipeline="intersection")),
     ("search", _with(SEARCH_JOB, K_cap=4)),
+    ("compute", _with(COMPUTE_JOB, variety={"type": "box", "sides": []})),
+    ("compute", _with(COMPUTE_JOB, variety={"type": "polytope",
+                                             "vertices": [[]]})),
 ], ids=["r", "variety_n", "sides", "vertex_entry", "generator_entry",
         "K_range_length", "workers", "bounds_without_g_max",
-        "K_cap_below_window", "K_cap_unused", "search_K_cap"])
+        "K_cap_below_window", "K_cap_unused", "search_K_cap", "no_sides",
+        "empty_vertex"])
 def test_malformed_job_fields_exit_one(tmp_path, capsys, command, job):
     code, out, err = run(capsys, [command, "--job", write_job(tmp_path, job)])
     assert code == 1
@@ -424,11 +428,29 @@ def test_usage_errors_exit_one(capsys, argv):
     assert "Traceback" not in err
 
 
+PLANE = {"ideals": [{"gens": [[1, 0], [0, 1]]}]}
+
+
+# a JSON true is a bool, and True == 1 in Python, but it is not an integer
 @pytest.mark.parametrize("job", [
     _with(COMPUTE_JOB, r=1.9, pipeline="intersection"),
     _with(COMPUTE_JOB, flag_ideal={"ideals": [{"gens": [[1.5]]}]}),
     _with(COMPUTE_JOB, K_range=[1.5, 8]),
-], ids=["r", "generator", "K_range"])
+    _with(COMPUTE_JOB, r=True),
+    _with(COMPUTE_JOB, variety={"type": "projective_space", "n": 2},
+          flag_ideal={"ideals": [{"gens": [[1, 0], [0, True]]}]}),
+    _with(COMPUTE_JOB, guard=True),
+    _with(COMPUTE_JOB, variety={"type": "box", "sides": [True, 1]},
+          flag_ideal=PLANE),
+    _with(COMPUTE_JOB, variety={"type": "projective_space", "n": True}),
+    _with(COMPUTE_JOB, flag_ideal=PLANE, variety={
+        "type": "polytope", "vertices": [[0, 0], [True, 0], [0, True]]}),
+    _with(COMPUTE_JOB, flag_ideal=PLANE, variety={
+        "type": "polytope", "vertices": [[0, 0], [1, 0], [0, 1]],
+        "chart_vertex": [False, 0]}),
+], ids=["r", "generator", "K_range", "r_bool", "generator_bool",
+        "guard_bool", "sides_bool", "n_bool", "vertex_bool",
+        "chart_vertex_bool"])
 def test_non_integral_numbers_exit_one(tmp_path, capsys, job):
     code, out, err = run(capsys, ["compute", "--job", write_job(tmp_path, job)])
     assert code == 1
@@ -448,8 +470,12 @@ def test_non_integral_numbers_exit_one(tmp_path, capsys, job):
     {"N_max": 0, "d_max": 2, "g_max": 1, "r_list": [1]},
     {"N_max": 1, "d_max": 0, "g_max": 1, "r_list": [1]},
     {"N_max": 1, "d_max": 2, "g_max": 0, "r_list": [1]},
+    {"N_max": True, "d_max": 2, "g_max": 1, "r_list": [1]},
+    {"N_max": 1, "d_max": 2, "g_max": 1, "r_list": [True]},
+    {"N_max": 1, "d_max": 2, "g_max": 1, "r_list": []},
 ], ids=["N_max", "d_max", "g_max", "r_list", "string", "r_zero",
-        "N_max_negative", "N_max_zero", "d_max_zero", "g_max_zero"])
+        "N_max_negative", "N_max_zero", "d_max_zero", "g_max_zero",
+        "N_max_bool", "r_list_bool", "r_list_empty"])
 def test_bad_search_bounds_exit_one(tmp_path, capsys, bounds):
     job = _with(SEARCH_JOB, bounds=bounds)
     code, out, err = run(capsys, ["search", "--job", write_job(tmp_path, job)])

@@ -163,15 +163,15 @@ def test_exceptional_data_two_facets():
 def test_face_degree_pins():
     flag = flag_of([[(2,)]], 1)
     facets = newton_polyhedron(flag).facets
-    assert [face_degree(flag, f) for f in facets] == [1]
+    assert [face_degree(f) for f in facets] == [1]
 
     flag = flag_of([[(2, 0), (1, 1), (0, 2)]], 2)
     facets = newton_polyhedron(flag).facets
-    assert [face_degree(flag, f) for f in facets] == [2]
+    assert [face_degree(f) for f in facets] == [2]
 
     flag = flag_of([[(3,)], [(1,)]], 1)
     facets = newton_polyhedron(flag).facets
-    degs = {f.normal: face_degree(flag, f) for f in facets}
+    degs = {f.normal: face_degree(f) for f in facets}
     assert degs == {(1, 1): 1, (1, 2): 1}
 
 
@@ -270,7 +270,7 @@ def test_closed_formula_reaches_no_triangulation_or_determinant(monkeypatch):
     calls = []
     monkeypatch.setattr(
         ie, "face_degree",
-        lambda flag, f: calls.append(f) or face_degree(flag, f))
+        lambda f: calls.append(f) or face_degree(f))
     for (v, flag, r, df), want, nums in zip(cases, expected, numbers):
         del calls[:]
         deco = df_intersection(v, flag, r)

@@ -21,6 +21,7 @@ from dflab import (
     make_variety,
     projective_space,
 )
+from dflab.errors import as_integer
 from dflab.hull import extreme_points, volume_of_points
 from dflab.intlinalg import dot
 from dflab.lattice_geometry import (
@@ -374,3 +375,24 @@ def test_preset_input_validation():
         projective_space(1, 0)
     with pytest.raises(InvalidInput):
         box((1, 0))
+    with pytest.raises(InvalidInput):
+        box(())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: as_integer(True, "r"),
+    lambda: make_variety([(0, 0), (True, 0), (0, True)]),
+    lambda: make_variety([(0, 0), (1, 0), (0, 1)], (False, 0)),
+    lambda: make_variety([(0, 0), (1, 0), (0, 1)], (0.5, 0)),
+    lambda: box([1.5, 1]),
+    lambda: box([True, 1]),
+    lambda: projective_space(True, 1),
+    lambda: projective_space(2, 1.5),
+], ids=["as_integer", "vertex", "chart_vertex", "chart_vertex_fraction",
+        "box_fraction", "box_bool", "projective_space_bool",
+        "projective_space_fraction"])
+def test_booleans_and_fractions_are_not_integers(build):
+    # True == 1 and int(1.5) == 1, so an int() round trip would let both
+    # through as the unit they are mistaken for
+    with pytest.raises(InvalidInput):
+        build()

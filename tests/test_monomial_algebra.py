@@ -27,6 +27,7 @@ from dflab import (
     projective_space,
     validate_flag_ideal,
 )
+from dflab.hull import point_in_convex_hull
 from dflab.monomial_algebra import minimalize, phi_value, t_degree
 
 
@@ -373,6 +374,38 @@ def test_newton_polyhedron_respects_symmetry():
     b = newton_polyhedron(chart_flag(ideal(2, (2, 0), (0, 3))))
     swap = sorted((f.normal[1], f.normal[0], f.normal[2]) for f in a.facets)
     assert swap == sorted(f.normal for f in b.facets)
+
+
+@st.composite
+def point_flags(draw):
+    """Chart flags of one or two ideals in n = 1..3 variables, each ideal
+    holding a pure power on every axis, so the flag is point-supported;
+    with pure powers alone the support spans a single hyperplane."""
+    n = draw(st.integers(1, 3))
+    powers = [tuple(draw(st.integers(1, 4)) * int(j == i) for j in range(n))
+              for i in range(n)]
+    low = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    chain = [powers + draw(st.lists(low, max_size=3))]
+    if draw(st.booleans()):
+        chain.append(chain[0] + draw(st.lists(low, min_size=1, max_size=2)))
+    return chart_flag(*(MonomialIdeal.make(n, gens) for gens in chain))
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_flags())
+def test_newton_polyhedron_keeps_the_strictly_positive_facets(flag):
+    # the compact facets are the support's facets with a strictly positive
+    # normal, and their vertices are the points on them outside the hull
+    # of the others
+    pts = {g + (j,) for j, i in enumerate(flag.chain) for g in i.gens}
+    pts.add((0,) * flag.nvars + (flag.big_n,))
+    want = oracles.facets_of_points(sorted(pts), True)
+    got = newton_polyhedron(flag).facets
+    assert [(f.normal, f.order) for f in got] == [(w, c) for w, c, _ in want]
+    for f, (_, _, on) in zip(got, want):
+        assert f.vertices == tuple(
+            p for i, p in enumerate(on)
+            if not point_in_convex_hull(p, on[:i] + on[i + 1:]))
 
 
 # ---------------------------------------------------------------------------
