@@ -62,9 +62,10 @@ class SearchBounds:
             if value < 1:
                 raise InvalidInput(
                     "%s must be at least 1, not %d" % (name, value))
-        if not bounds.r_list or min(bounds.r_list) < 1:
-            raise InvalidInput("r_list must list exponents of at least 1, "
-                               "not %r" % (list(bounds.r_list),))
+        if (not bounds.r_list or min(bounds.r_list) < 1
+                or len(set(bounds.r_list)) < len(bounds.r_list)):
+            raise InvalidInput("r_list must list distinct exponents of at "
+                               "least 1, not %r" % (list(bounds.r_list),))
         return bounds
 
     def to_json_dict(self):

@@ -149,7 +149,7 @@ def test_compute_table_format(tmp_path, capsys):
         lines[key] = value.strip()
     assert lines["DF"] == "1"
     assert lines["decomposition.T3"] == "8"
-    assert lines["checks.mabuchi_identity"] == "True"
+    assert lines["checks.weak_riemann_roch"] == "True"
 
 
 def test_compute_cache_replay(tmp_path, capsys):
@@ -302,13 +302,62 @@ def test_verify_job_detects_tampered_cache(tmp_path, capsys):
     assert "cached result differs from recomputation" in doc["messages"]
 
 
+def test_verify_job_fails_a_failed_check(tmp_path, capsys, monkeypatch):
+    import dflab.weight_engine as we
+    monkeypatch.setattr(we, "riemann_roch_holds", lambda *args: False)
+    path = write_job(tmp_path, COMPUTE_JOB)
+    code, out, _ = run(capsys, ["verify", "--job", path])
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["verified"] is False
+    assert doc["messages"] == ["check failed: weak_riemann_roch"]
+
+
+def test_verify_battery_fails_on_a_corrupted_hilbert_fit(capsys, monkeypatch):
+    # the Riemann-Roch lines read the Ehrhart fits: one off coefficient
+    # fails every one of them and the battery exits 3
+    fit = cli.hilbert_polynomial
+
+    def corrupted(variety, r):
+        poly = fit(variety, r)
+        coeffs = list(poly.coeffs)
+        coeffs[-1] += 1
+        return type(poly)(tuple(coeffs), poly.k0)
+
+    monkeypatch.setattr(cli, "hilbert_polynomial", corrupted)
+    code, out, _ = run(capsys, ["verify"])
+    assert code == 3
+    for name in ("segment", "plane", "hirzebruch", "space"):
+        assert "[riemann_roch_%s] FAIL" % name in out
+    assert "[t_power_shift] PASS" in out
+
+
+def test_verify_battery_fails_on_a_corrupted_weight(capsys, monkeypatch):
+    # the shift law compares two counted weight sequences: one off sample
+    # in the first of them fails it
+    count = cli.weight_sequence
+    calls = []
+
+    def corrupted(variety, flag, r, ks):
+        weights = count(variety, flag, r, ks)
+        if not calls:
+            weights[max(weights)] += 1
+        calls.append(flag)
+        return weights
+
+    monkeypatch.setattr(cli, "weight_sequence", corrupted)
+    code, out, _ = run(capsys, ["verify"])
+    assert code == 3
+    assert "[t_power_shift] FAIL" in out
+
+
 def test_verify_battery_passes(capsys):
     code, out, _ = run(capsys, ["verify"])
     assert code == 0
     assert "FAIL" not in out
     for name in ("riemann_roch_segment", "riemann_roch_hirzebruch",
-                 "riemann_roch_space", "mabuchi_grid", "t_power_shift",
-                 "trivial_flag", "chow_scaling", "cache_integrity"):
+                 "riemann_roch_space", "t_power_shift", "trivial_flag",
+                 "cache_integrity"):
         assert "[%s] PASS" % name in out
     summary = json.loads(out[out.index("\n{") + 1:])
     assert summary["verified"] is True
@@ -473,9 +522,10 @@ def test_non_integral_numbers_exit_one(tmp_path, capsys, job):
     {"N_max": True, "d_max": 2, "g_max": 1, "r_list": [1]},
     {"N_max": 1, "d_max": 2, "g_max": 1, "r_list": [True]},
     {"N_max": 1, "d_max": 2, "g_max": 1, "r_list": []},
+    {"N_max": 1, "d_max": 2, "g_max": 1, "r_list": [1, 1]},
 ], ids=["N_max", "d_max", "g_max", "r_list", "string", "r_zero",
         "N_max_negative", "N_max_zero", "d_max_zero", "g_max_zero",
-        "N_max_bool", "r_list_bool", "r_list_empty"])
+        "N_max_bool", "r_list_bool", "r_list_empty", "r_list_repeat"])
 def test_bad_search_bounds_exit_one(tmp_path, capsys, bounds):
     job = _with(SEARCH_JOB, bounds=bounds)
     code, out, err = run(capsys, ["search", "--job", write_job(tmp_path, job)])
