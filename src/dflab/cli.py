@@ -36,7 +36,7 @@ from .lattice_geometry import (
     make_variety,
     projective_space,
 )
-from .monomial_algebra import MonomialIdeal, validate_flag_ideal
+from .monomial_algebra import FlagIdeal, MonomialIdeal, validate_flag_ideal
 from .stability_lab import SearchBounds, search_destabilizers
 from .weight_engine import (
     FitOptions,
@@ -276,48 +276,64 @@ def _battery_cases():
 
 
 def _verify_battery(args):
-    results = []
-    ok_all = True
+    """Run every line of the self-check battery and print the summary.
 
-    def record(name, ok, detail=""):
-        nonlocal ok_all
-        ok_all = ok_all and ok
-        results.append({"check": name, "ok": bool(ok), "detail": detail})
+    A line that raises one of dflab's own errors is that line's FAIL, with
+    the error as its detail, and the lines after it still run; any FAIL
+    makes the summary read verified: false and the exit code 3."""
+    results = []
+
+    def record(name, check):
+        try:
+            ok, detail = bool(check()), ""
+        except (InvalidInput, NotStabilized, ExponentTooSmall,
+                ConsistencyError) as exc:
+            ok, detail = False, "%s: %s" % (type(exc).__name__, exc)
+        results.append({"check": name, "ok": ok, "detail": detail})
         sys.stdout.write("[%s] %s%s\n" % (
             name, "PASS" if ok else "FAIL", " " + detail if detail else ""))
 
     # Ehrhart coefficients against the intersection numbers
     for name, variety in _battery_cases():
-        record("riemann_roch_%s" % name, riemann_roch_holds(
-            variety, 1, hilbert_polynomial(variety, 1)))
+        record("riemann_roch_%s" % name, lambda v=variety: riemann_roch_holds(
+            v, 1, hilbert_polynomial(v, 1)))
 
-    # multiplying the flag ideal by t shifts weights by exactly -K h(K)
     variety = projective_space(1, 2)
-    flag = validate_flag_ideal([MonomialIdeal.make(1, [(2,)])])
-    from .monomial_algebra import FlagIdeal
-    raw = FlagIdeal(
-        nvars=1, mode="chart",
-        chain=(MonomialIdeal.zero(1), MonomialIdeal.make(1, [(2,)])),
-        support="point", t_power=0)
-    ks = range(1, 7)
-    lhs = weight_sequence(variety, raw, 1, ks)
-    rhs = weight_sequence(variety, flag, 1, ks)
-    good = all(lhs[k] == rhs[k] - k * hilbert_at(variety, 1, k) for k in ks)
-    record("t_power_shift", good)
 
-    # the trivial configuration carries zero weight and zero invariant
-    trivial = validate_flag_ideal([MonomialIdeal.unit(1)])
-    treport = evaluate(variety, trivial, 1, pipeline="both")
-    record("trivial_flag", treport.trivial and treport.df == 0
-           and treport.weight_poly(5) == 0)
+    def t_power_shift():
+        # multiplying the flag ideal by t shifts weights by exactly -K h(K)
+        flag = validate_flag_ideal([MonomialIdeal.make(1, [(2,)])])
+        raw = FlagIdeal(
+            nvars=1, mode="chart",
+            chain=(MonomialIdeal.zero(1), MonomialIdeal.make(1, [(2,)])),
+            support="point", t_power=0)
+        ks = range(1, 7)
+        lhs = weight_sequence(variety, raw, 1, ks)
+        rhs = weight_sequence(variety, flag, 1, ks)
+        return all(lhs[k] == rhs[k] - k * hilbert_at(variety, 1, k)
+                   for k in ks)
 
-    # byte-stable output: the same job rendered twice is identical
-    job = {"variety": {"type": "projective_space", "n": 1, "d": 2},
-           "flag_ideal": {"ideals": [{"gens": [[2]]}]}, "r": 1}
-    text1 = _dump(compute_envelope(job))
-    text2 = _dump(compute_envelope(job))
-    record("cache_integrity", text1 == text2)
+    def trivial_flag():
+        # the trivial configuration carries zero weight and zero invariant;
+        # its weight is built, not fitted, so the line also reads the
+        # report's checks on its Hilbert fit
+        trivial = validate_flag_ideal([MonomialIdeal.unit(1)])
+        report = evaluate(variety, trivial, 1, pipeline="both")
+        return (report.trivial and report.df == 0
+                and report.weight_poly(5) == 0
+                and report.checks and all(report.checks.values()))
 
+    def cache_integrity():
+        # byte-stable output: the same job rendered twice is identical
+        job = {"variety": {"type": "projective_space", "n": 1, "d": 2},
+               "flag_ideal": {"ideals": [{"gens": [[2]]}]}, "r": 1}
+        return _dump(compute_envelope(job)) == _dump(compute_envelope(job))
+
+    record("t_power_shift", t_power_shift)
+    record("trivial_flag", trivial_flag)
+    record("cache_integrity", cache_integrity)
+
+    ok_all = all(r["ok"] for r in results)
     sys.stdout.write(_dump({"verified": ok_all, "results": results}))
     return 0 if ok_all else 3
 

@@ -11,6 +11,7 @@ computation is normalized against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .errors import (
@@ -46,14 +47,37 @@ class PolarizedToricVariety:
     def dim(self):
         return self.polytope.dim
 
+    @cached_property
+    def _fibre_store(self):
+        """The fibre store: {k: fibres of kP} for each scale k asked of
+        dilate_fibres, built on first use and kept with the variety."""
+        return {}
+
+    def dilate_fibres(self, k):
+        """fibres(self.polytope, k), enumerated on the first call for k and
+        read from the fibre store after that.  The list is shared by every
+        caller and is not to be modified.
+
+        The store holds only the scales asked for: a fit samples k r for
+        k up to its cap, so a search over r_list keeps at most
+        cap * max(r_list) lists, and every record and every r that meets
+        the same scale reads one list.  A search with workers > 1 pickles
+        the variety into each task, so each task unpickles its own variety
+        and store, and the sharing is per task.
+        """
+        store = self._fibre_store
+        if k not in store:
+            store[k] = fibres(self.polytope, k)
+        return store[k]
+
     def lattice_points(self, k):
         """All lattice points of the dilate kP, in sorted (lexicographic)
         order, read off its fibres."""
-        return [p + (x,) for p, lo, hi in fibres(self.polytope, k)
+        return [p + (x,) for p, lo, hi in self.dilate_fibres(k)
                 for x in range(lo, hi + 1)]
 
     def ehrhart_count(self, k):
-        return sum(hi - lo + 1 for _, lo, hi in fibres(self.polytope, k))
+        return sum(hi - lo + 1 for _, lo, hi in self.dilate_fibres(k))
 
     def intersection_numbers(self):
         """(L^n, L^(n-1).K) for the polarization L and canonical divisor K."""

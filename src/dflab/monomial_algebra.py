@@ -279,7 +279,9 @@ class LevelStepper:
     by its last cell on each axis is exact, and advance pads the table of
     J^k the same way to the box of side k * e_i that krP reads, with
     e_i = max(D_i, r * w_i) and w_i the chart functional's reach over the
-    vertices.
+    vertices.  A chart with D = 0 (every move projects to 0, or it has no
+    moves) keeps one cell, k * j_0 with j_0 the least level of a move or
+    k * N with none, and advance returns that cell unpadded.
     """
 
     def __init__(self, variety, flag, r):
@@ -323,17 +325,22 @@ class LevelStepper:
         level function of J^k on krP, one table per chart.
 
         Returns a list of (A, C, table) with
-        g_k(u) = max over the list of table[<A, u> - k * r * C].  Each
-        table is the stepped one padded to the box of side k * e_i, which
-        holds the chart exponents of krP; A and C fold the chart
-        functionals, their offsets and the row-major strides of that box
-        into one dot product."""
+        g_k(u) = max over the list of table[<A, u> - k * r * C].  A chart
+        whose moves all project to 0 has a level constant over krP: its
+        table is that one cell, with A = 0 and C = 0, and _weight reads it
+        as a floor.  Every other table is the stepped one padded to the
+        box of side k * e_i, which holds the chart exponents of krP; A and
+        C fold the chart functionals, their offsets and the row-major
+        strides of that box into one dot product."""
         if k < self.k:
             raise ValueError("cannot step back from J^%d to J^%d" % (self.k, k))
         while self.k < k:
             self.step()
         out = []
         for ch in self._charts:
+            if not any(ch.side):
+                out.append(((0,) * len(ch.funcs[0]), 0, ch.table))
+                continue
             shape = [k * e + 1 for e in ch.reach]
             strides = _strides(shape)
             weights = tuple(dot(strides, col) for col in zip(*ch.funcs))

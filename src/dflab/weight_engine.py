@@ -26,7 +26,6 @@ from .errors import (
 )
 from .intersection_engine import df_intersection
 from .intlinalg import dot
-from .lattice_geometry import fibres
 from .monomial_algebra import LevelStepper, pure_powers
 
 
@@ -179,16 +178,26 @@ def _weight(tables, scale, fib):
     k * r, from level tables (A, C, table): the chart tables of J^k, or the
     closure tables of _closure_tables.  No table weighs 0.
 
-    Over a fibre the flat index <A, u> - scale * C of a table is b + a * x
-    for lo <= x <= hi, with a = A[-1] and b = <A', p> - scale * C, so the
-    table's levels along the fibre are its slice with step a: read
-    backwards and reversed when a < 0, one cell repeated when a = 0.  Each
-    point's level is the largest over the tables.  A slice past the end of
-    a table comes back short, so a table that does not cover krP raises
-    ConsistencyError."""
+    A one-cell table is constant over krP: LevelStepper.advance returns
+    one for a chart on which every move projects to 0, and at k = 0 krP is
+    one point.  The largest such cell is a floor under every point's level
+    rather than a column of its own; a floor of 0 changes nothing, since
+    levels are at least 0, and with only constant tables W = -floor * #krP.
+
+    Over a fibre the flat index <A, u> - scale * C of any other table is
+    b + a * x for lo <= x <= hi, with a = A[-1] and b = <A', p> - scale *
+    C, so the table's levels along the fibre are its slice with step a:
+    read backwards and reversed when a < 0, one cell repeated when a = 0.
+    Each point's level is the largest over the tables and the floor.  A
+    slice past the end of a table comes back short, so a table that does
+    not cover krP raises ConsistencyError."""
     count = sum(hi - lo + 1 for _, lo, hi in fib)
+    floor = 0
     levels = None
     for weights, c, table in tables:
+        if len(table) == 1:
+            floor = max(floor, table[0])
+            continue
         head, a = weights[:-1], weights[-1]
         col = []
         for p, lo, hi in fib:
@@ -205,7 +214,11 @@ def _weight(tables, scale, fib):
                 % (weights, len(col), count, scale))
         levels = col if levels is None else \
             [x if x >= y else y for x, y in zip(levels, col)]
-    return -sum(levels) if tables else 0
+    if levels is None:
+        return -floor * count
+    if floor:
+        levels = [x if x >= floor else floor for x in levels]
+    return -sum(levels)
 
 
 def _check_k(k):
@@ -229,16 +242,20 @@ def _walk(variety, flag, r, closure):
     """sample(k) -> (h(k), W(k), the closure weight or None), for k
     increasing across calls.
 
-    Each sample enumerates krP once, as fibres, and feeds all three counts
-    from them; only the integers are kept.  W reads one LevelStepper, so
-    the level tables of J^k are stepped from those of J^(k-1); a trivial
-    flag has no stepper and weighs 0.  The closure weight is counted only
-    when closure is set, by the same _weight from _closure_tables.
+    Each sample reads the fibres of krP from the variety's fibre store
+    (PolarizedToricVariety.dilate_fibres), so krP is enumerated once per
+    variety, whichever walk, record or r asks for it first, and all three
+    counts are fed from that one list; only the integers are kept.  W
+    reads one LevelStepper, so the level tables of J^k are stepped from
+    those of J^(k-1), and a chart whose table is one constant cell is a
+    floor, not a column (see _weight); a trivial flag has no stepper and
+    weighs 0.  The closure weight is counted only when closure is set, by
+    the same _weight from _closure_tables.
     """
     stepper = None if flag.trivial else LevelStepper(variety, flag, r)
 
     def sample(k):
-        fib = fibres(variety.polytope, k * r)
+        fib = variety.dilate_fibres(k * r)
         return (sum(hi - lo + 1 for _, lo, hi in fib),
                 _weight(stepper.advance(k), k * r, fib) if stepper else 0,
                 _weight(_closure_tables(variety, flag, r, k), k * r, fib)
@@ -252,13 +269,14 @@ def closure_weight_at(variety, flag, r, k):
 
     Counting against the hull rather than the ideal powers gives the
     integral closure's weight; it never exceeds the true level count.
-    The count is integer-exact: the levels are read from _closure_tables,
-    and ceil(k * phi_value(np, y / k)) at the chart coordinates y stays
-    the per-point reference.  A negative k raises InvalidInput.
+    The count is integer-exact: the levels are read from _closure_tables
+    over the fibres in the variety's fibre store, and
+    ceil(k * phi_value(np, y / k)) at the chart coordinates y stays the
+    per-point reference.  A negative k raises InvalidInput.
     """
     _check_k(k)
     return _weight(_closure_tables(variety, flag, r, k), k * r,
-                   fibres(variety.polytope, k * r))
+                   variety.dilate_fibres(k * r))
 
 
 def _closure_tables(variety, flag, r, k):

@@ -351,6 +351,59 @@ def test_verify_battery_fails_on_a_corrupted_weight(capsys, monkeypatch):
     assert "[t_power_shift] FAIL" in out
 
 
+BATTERY_LINES = ["riemann_roch_" + name for name in (
+    "segment", "segment_twice", "segment_thrice", "plane", "plane_twice",
+    "square", "hirzebruch", "space")] + [
+    "t_power_shift", "trivial_flag", "cache_integrity"]
+
+
+def corrupt_fits(monkeypatch, degrees=None):
+    """Add 1 to every coefficient of each fit_polynomial result of a degree
+    in degrees (all degrees when None)."""
+    import dflab.weight_engine as we
+    fit = we.fit_polynomial
+
+    def corrupted(samples, max_degree, guard=2):
+        poly = fit(samples, max_degree, guard)
+        if degrees is not None and max_degree not in degrees:
+            return poly
+        return type(poly)(tuple(c + 1 for c in poly.coeffs), poly.k0)
+
+    monkeypatch.setattr(we, "fit_polynomial", corrupted)
+
+
+def test_verify_battery_survives_a_raising_line(capsys, monkeypatch):
+    # with every fit off by one, cache_integrity's compute job raises
+    # ConsistencyError: that line fails with the message, and the battery
+    # still prints every line and its summary, and exits 3
+    corrupt_fits(monkeypatch)
+    code, out, _ = run(capsys, ["verify"])
+    assert code == 3
+    lines = out[:out.index("\n{") + 1].splitlines()
+    assert [line[1:line.index("]")] for line in lines] == BATTERY_LINES
+    assert "[cache_integrity] FAIL ConsistencyError: " in out
+    assert "[t_power_shift] PASS" in out
+    summary = json.loads(out[out.index("\n{") + 1:])
+    assert summary["verified"] is False
+    assert [r["check"] for r in summary["results"]] == BATTERY_LINES
+    failed = [r for r in summary["results"] if not r["ok"]]
+    assert "hull integral" in failed[-1]["detail"]
+
+
+def test_verify_battery_trivial_flag_reads_its_hilbert_fit(capsys,
+                                                           monkeypatch):
+    # the trivial flag's zero weight is built, not fitted; its line fails
+    # when its Hilbert fit (degree 1 on P^1) breaks weak Riemann-Roch, as
+    # do the Riemann-Roch lines of the segments and not those of surfaces
+    corrupt_fits(monkeypatch, degrees=(1,))
+    code, out, _ = run(capsys, ["verify"])
+    assert code == 3
+    assert "[trivial_flag] FAIL" in out
+    assert "[riemann_roch_segment] FAIL" in out
+    assert "[riemann_roch_plane] PASS" in out
+    assert "[t_power_shift] PASS" in out
+
+
 def test_verify_battery_passes(capsys):
     code, out, _ = run(capsys, ["verify"])
     assert code == 0

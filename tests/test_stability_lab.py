@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import dflab.lattice_geometry as lg
 import dflab.monomial_algebra as ma
 import dflab.stability_lab as lab
 from dflab.errors import ExponentTooSmall, InvalidInput, NotStabilized
@@ -335,6 +336,35 @@ def test_cox_search_covers_divisor_ideals():
     curve = [r for r in report.records if r["chain"] == [[[0, 0, 1, 0]]]]
     assert len(curve) == 1
     assert curve[0]["DF"] == "4/3"
+
+
+def test_cox_search_enumerates_each_scale_once(monkeypatch):
+    # the 44-record cox search on F1 (criterion 9) reads krP at 448
+    # samples over 32 distinct scales; every record shares the search's
+    # variety, whose fibre store enumerates each scale once
+    v = hirzebruch_anticanonical()
+    bounds = SearchBounds(n_max=2, d_max=2, g_max=1, r_list=(1,), mode="cox")
+    enumerated = []
+    reads = []
+    enumerate_fibres = lg.fibres
+    read = lg.PolarizedToricVariety.dilate_fibres
+
+    def counted_fibres(poly, k):
+        enumerated.append(k)
+        return enumerate_fibres(poly, k)
+
+    def counted_read(variety, k):
+        reads.append(k)
+        return read(variety, k)
+
+    monkeypatch.setattr(lg, "fibres", counted_fibres)
+    monkeypatch.setattr(lg.PolarizedToricVariety, "dilate_fibres",
+                        counted_read)
+    report = search_destabilizers(v, bounds)
+    assert report.total == 44
+    assert len(reads) == 448
+    assert sorted(enumerated) == sorted(set(reads))
+    assert len(enumerated) == 32
 
 
 def test_search_report_json_shape():

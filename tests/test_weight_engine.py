@@ -355,8 +355,9 @@ def test_stepped_tables_match_t_degree_sum(case, r, start):
 
 
 # LevelStepper steps J^k on the box of side k * D_i, D_i the largest move
-# exponent on axis i, and advance pads it to the box krP reads; the tables
-# it returns are those of the full-box stepping in tests/oracles.py.
+# exponent on axis i, and advance pads it to the box krP reads, or returns
+# the one cell of a chart with D = 0; at every point of krP each chart's
+# table reads the level of the full-box stepping in tests/oracles.py.
 
 def chart_data(variety, flag):
     return [(funcs, offs, ma._chart_moves(flag, idxs))
@@ -376,7 +377,19 @@ def test_advance_matches_full_box_stepping(case, r, start):
         flag.big_n, 6)
     stepper = LevelStepper(variety, flag, r)
     for k in range(start, 7):
-        assert stepper.advance(k) == expected[k]
+        points = oracles.prefix_walk_points(variety.polytope, k * r)
+        tables = stepper.advance(k)
+        assert len(tables) == len(expected[k])
+        for got, want in zip(tables, expected[k]):
+            assert chart_levels(got, k * r, points) == \
+                chart_levels(want, k * r, points)
+
+
+def chart_levels(chart_table, scale, points):
+    """A level table's entry at each point: table[<A, u> - scale * C]."""
+    a, c, table = chart_table
+    return [table[sum(x * y for x, y in zip(a, u)) - scale * c]
+            for u in points]
 
 
 def test_stepped_tables_hold_the_moves_box():
@@ -397,14 +410,85 @@ def test_stepped_tables_hold_the_moves_box():
         assert sorted(len(ch.table) for ch in stepper._charts) == cells
 
 
+# On a chart where every move projects to 0 the level of J^k is one
+# constant cell, which advance returns unpadded and _weight reads as a
+# floor; padded to the box krP reads, as the stepper did before, the same
+# tables weigh the same.  Made-up cells stand in for such charts too: a
+# floor of 0, and tables that are all constant.
+
+def rigid_curve_flags():
+    """Chains (x^e1) < (x^e2) < ... on the rigid curve of F1, e1 > e2."""
+    return st.lists(st.integers(1, 6), min_size=1, max_size=3,
+                    unique=True).map(lambda es: flag_of(
+                        [[rigid_curve_gen(e)] for e in sorted(es)[::-1]], 4,
+                        mode="cox", variety=F1))
+
+
+def padded_to_read_box(stepper, tables, k):
+    """tables with every one-cell table padded to the read box of side
+    k * e_i of a chart of the stepper: its own, or the first chart's for
+    a made-up cell."""
+    out = []
+    for i, (a, c, table) in enumerate(tables):
+        if len(table) == 1:
+            ch = stepper._charts[i if i < len(stepper._charts) else 0]
+            shape = [k * e + 1 for e in ch.reach]
+            strides = ma._strides(shape)
+            a = tuple(sum(x * y for x, y in zip(strides, col))
+                      for col in zip(*ch.funcs))
+            c = sum(x * y for x, y in zip(strides, ch.offs))
+            table = table * prod(shape)
+        out.append((a, c, table))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(rigid_curve_flags(), cox_flags()), st.integers(1, 2),
+       st.integers(0, 4), st.lists(st.integers(0, 30), max_size=2),
+       st.booleans())
+# two constant charts and a made-up floor of 0
+@example(PAST_THE_BOX, 1, 3, [0], False)
+# only constant tables: W = -floor * #krP
+@example(PAST_THE_BOX, 2, 3, [7], True)
+@example(PAST_THE_BOX, 1, 2, [], True)
+def test_constant_tables_weigh_as_padded_ones(flag, r, k, cells, constant):
+    assume(not flag.trivial)
+    stepper = LevelStepper(F1, flag, r)
+    tables = stepper.advance(k) + [((0, 0), 0, [c]) for c in cells]
+    if constant:
+        tables = [t for t in tables if len(t[2]) == 1]
+    fib = fibres(F1.polytope, k * r)
+    got = we._weight(tables, k * r, fib)
+    assert got == we._weight(padded_to_read_box(stepper, tables, k), k * r,
+                             fib)
+    if constant:
+        count = sum(hi - lo + 1 for _, lo, hi in fib)
+        assert got == -max([0] + [t[0] for _, _, t in tables]) * count
+
+
+# x0 x1 x2 x3 has a move off 0 on every chart of F1, so every table is
+# padded to the box krP reads
+EVERY_CHART = flag_of([[(1, 1, 1, 1)]], 4, mode="cox", variety=F1)
+
+
 def test_f1_cox_tables_read_fibres_backwards():
     # the chart at (0, 2) has the cox variables of the facets y <= 2 and
     # x >= 0, so its flat index falls by the stride of the first axis as y
-    # grows: _weight reads its table slices backwards
+    # grows: _weight reads its table slices backwards.  PAST_THE_BOX lives
+    # on the rigid curve y = 0, away from the charts at (3, 2) and (0, 2):
+    # their tables are one constant cell, read by no step
     for r in (1, 2):
-        tables = LevelStepper(F1, PAST_THE_BOX, r).advance(3)
+        tables = LevelStepper(F1, EVERY_CHART, r).advance(3)
         assert sorted((a[-1] > 0) - (a[-1] < 0) for a, c, t in tables) == \
             [-1, 1, 1, 1]
+        tables = LevelStepper(F1, PAST_THE_BOX, r).advance(3)
+        assert sorted((a[-1] > 0) - (a[-1] < 0) for a, c, t in tables) == \
+            [0, 0, 1, 1]
+        assert sorted(len(t) for a, c, t in tables)[:2] == [1, 1]
+        for k in (3, 4):
+            assert we._weight(LevelStepper(F1, EVERY_CHART, r).advance(k),
+                              k * r, fibres(F1.polytope, k * r)) == \
+                reference_weight(F1, EVERY_CHART, r, k)
 
 
 # _weight on made-up tables: every sign of the step a = A[-1] along the
@@ -637,14 +721,16 @@ def test_df_counting_enumerates_each_sample_once(monkeypatch):
         hilbert_ks.append(k)
         return hilbert(variety, r_, k)
 
-    # every enumeration of krP goes through fibres: directly from the
-    # weight engine, or through lattice_points and ehrhart_count
-    monkeypatch.setattr(we, "fibres", counted_fibres)
+    # every enumeration of krP goes through fibres, from the variety's
+    # fibre store, which the walk, lattice_points and ehrhart_count read
     monkeypatch.setattr(lg, "fibres", counted_fibres)
     monkeypatch.setattr(we, "hilbert_at", counted_hilbert)
     report = df_counting(v, flag, r)
     assert report.df == 21
-    # one enumeration per weight sample k, at the scale k * r
+    # one enumeration per weight sample k, at the scale k * r; a second
+    # count on the same variety reads the store and enumerates nothing
+    assert v.ehrhart_count(scales[-1]) == report.hilbert_poly(
+        scales[-1] // r)
     sampled = [s // r for s in scales]
     assert all(s % r == 0 for s in scales)
     assert sorted(sampled) == list(range(1, len(sampled) + 1))
@@ -810,8 +896,8 @@ def test_hilbert_fit_shares_the_weight_window(monkeypatch):
     v = projective_space(2, 1)
     options = FitOptions(window=(3, 4))
     scales = []
-    enumerate_fibres = we.fibres
-    monkeypatch.setattr(we, "fibres", lambda poly, k: scales.append(k)
+    enumerate_fibres = lg.fibres
+    monkeypatch.setattr(lg, "fibres", lambda poly, k: scales.append(k)
                         or enumerate_fibres(poly, k))
     rep = df_counting(v, flag_of([[(1, 0), (0, 1)]], 2), 1, options)
     monkeypatch.undo()
