@@ -59,7 +59,6 @@ from .stability_lab import (
     enumerate_flag_ideals,
     preset_normal_cone,
     search_destabilizers,
-    search_space_size,
 )
 
 __version__ = "0.1.0"
@@ -106,7 +105,6 @@ __all__ = [
     "preset_normal_cone",
     "projective_space",
     "search_destabilizers",
-    "search_space_size",
     "validate_flag_ideal",
     "weight_at",
 ]

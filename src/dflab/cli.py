@@ -92,9 +92,12 @@ def build_flag(obj, variety):
     nvars = variety.dim if mode == "chart" else len(variety.polytope.facets)
     chain = []
     for entry in ideals_obj:
-        gens = entry.get("gens", []) if isinstance(entry, dict) else entry
+        if not isinstance(entry, dict) or "gens" not in entry:
+            raise InvalidInput(
+                "each ideal must be an object with gens, not %r" % (entry,))
+        gens = _list(entry["gens"], "gens")
         chain.append(MonomialIdeal.make(
-            nvars, [_list(g, "generator") for g in _list(gens, "gens")]))
+            nvars, [_list(g, "generator") for g in gens]))
     return validate_flag_ideal(
         chain, mode=mode, variety=variety if mode == "cox" else None)
 
@@ -338,28 +341,6 @@ def _verify_battery(args):
     return 0 if ok_all else 3
 
 
-def _resolve_workers(args, job):
-    """Worker count from --workers, else the job, else DFLAB_WORKERS, else
-    1; a count below 1 is invalid input wherever it comes from."""
-    env = os.environ.get("DFLAB_WORKERS")
-    if args.workers is not None:
-        what, workers = "--workers", args.workers
-    elif "workers" in job:
-        what, workers = "workers", as_integer(job["workers"], "workers")
-    elif env:
-        what = "DFLAB_WORKERS"
-        try:
-            workers = int(env)
-        except ValueError:
-            raise InvalidInput(
-                "DFLAB_WORKERS must be an integer, not %r" % (env,)) from None
-    else:
-        return 1
-    if workers < 1:
-        raise InvalidInput("%s must be at least 1, not %d" % (what, workers))
-    return workers
-
-
 def cmd_search(args):
     job = load_job(args)
     variety = build_variety(job.get("variety", {}))
@@ -367,9 +348,11 @@ def cmd_search(args):
         raise InvalidInput("search job needs bounds")
     bounds = SearchBounds.from_json(job["bounds"])
     options = _fit_options(job)
-    workers = _resolve_workers(args, job)
+    if args.workers < 1:
+        raise InvalidInput(
+            "--workers must be at least 1, not %d" % args.workers)
     report = search_destabilizers(
-        variety, bounds, options=options, workers=workers,
+        variety, bounds, options=options, workers=args.workers,
         stream_path=args.stream)
     sys.stdout.write(_dump(report.to_json_dict()))
     if report.mismatches:
@@ -407,7 +390,8 @@ def main(argv=None):
     p_search = sub.add_parser("search", help="sweep flag ideals in bounds")
     p_search.add_argument("--job", help="JSON job file, or - for stdin")
     p_search.add_argument("--stream", help="JSONL record stream with resume")
-    p_search.add_argument("--workers", type=int, help="parallel processes")
+    p_search.add_argument("--workers", type=int, default=1,
+                          help="parallel processes (default 1)")
     p_search.set_defaults(func=cmd_search)
 
     try:

@@ -92,17 +92,18 @@ def lower_hull_integral(variety, flag, r):
 
 
 def _check_exponent(variety, np_, r):
-    """ExponentTooSmall unless every vertex of the Newton polyhedron's
-    compact facets projects into the chart image of rP (boundary allowed),
-    where phi lives; the vertices lie in the orthant, so only the facets
-    of P can exclude them."""
+    """ExponentTooSmall unless every support point on the Newton
+    polyhedron's compact facets projects into the chart image of rP
+    (boundary allowed), where phi lives.  That image is convex, so this is
+    the same verdict as for the facets' vertices alone; the points lie in
+    the orthant, so only the facets of P can exclude them."""
     for f in np_.facets:
-        for p in f.vertices:
+        for p in f.points:
             u = variety.point_from_chart(p[:-1], r)
             if any(dot(a, u) < r * c for a, c in variety.polytope.facets):
                 raise ExponentTooSmall(
-                    "newton polyhedron vertex %r leaves the chart polytope "
-                    "at exponent r=%d" % (tuple(p[:-1]), r))
+                    "newton polyhedron support point %r leaves the chart "
+                    "polytope at exponent r=%d" % (tuple(p[:-1]), r))
 
 
 def _region_vertices(variety, np_, facet, r):
@@ -167,10 +168,11 @@ def _polyhedron_vertices(halves, n):
 def face_degree(f):
     """Lattice-normalized volume of a compact facet of the Newton polyhedron.
 
-    The facet spans an affine hyperplane with primitive normal f.normal,
-    whose length is the dimension.
+    The facet's support points span an affine hyperplane with primitive
+    normal f.normal, whose length is the dimension; lattice_volume takes
+    their hull, so points that are not vertices change nothing.
     """
-    return lattice_volume(f.vertices, f.normal)
+    return lattice_volume(f.points, f.normal)
 
 
 def df_intersection(variety, flag, r):

@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedMode,
     as_integer,
 )
-from .hull import extreme_points, facets_of_points
+from .hull import facets_of_points
 from .intlinalg import dot
 
 
@@ -379,14 +379,11 @@ def t_degree(variety, flag, r, k, u):
 class ExceptionalFacet:
     normal: tuple      # primitive, all entries positive; last entry is the t-weight
     order: int         # min of <normal, p> over the support; the facet's level
-    vertices: tuple    # hull vertices lying on the facet
+    points: tuple      # support points lying on the facet, sorted
 
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
-    dim: int           # ambient dimension n + 1 (chart variables plus t)
-    big_n: int
-    vertices: tuple
     facets: tuple      # compact lower facets only
 
 
@@ -417,8 +414,7 @@ def newton_polyhedron(flag):
     Each call builds the polyhedron anew; flag.polyhedron keeps one.
     """
     if flag.trivial:
-        return NewtonPolyhedron(dim=flag.nvars + 1, big_n=0, vertices=(),
-                                facets=())
+        return NewtonPolyhedron(facets=())
     if flag.mode != "chart":
         raise UnsupportedMode("newton polyhedron is chart-mode only")
     if flag.support != "point":
@@ -439,12 +435,8 @@ def newton_polyhedron(flag):
         if min(f.normal) > 0:
             assert f.offset > 0
             facets.append(ExceptionalFacet(
-                normal=f.normal, order=int(f.offset),
-                vertices=tuple(extreme_points(sorted(f.points)))))
-    # facet vertices are vertices of the whole hull, so of their union's
-    verts = tuple(sorted({p for f in facets for p in f.vertices}))
-    return NewtonPolyhedron(dim=flag.nvars + 1, big_n=flag.big_n,
-                            vertices=verts, facets=tuple(facets))
+                normal=f.normal, order=int(f.offset), points=f.points))
+    return NewtonPolyhedron(facets=tuple(facets))
 
 
 def cox_lift(variety, flag):

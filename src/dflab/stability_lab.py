@@ -121,26 +121,6 @@ def enumerate_flag_ideals(variety, bounds):
     return chains
 
 
-def search_space_size(variety, bounds):
-    """Number of (chain, exponent) pairs the bounds span."""
-    nvars = variety.dim if bounds.mode == "chart" else len(variety.polytope.facets)
-    cands = candidate_ideals(nvars, bounds)
-    m = len(cands)
-    incl = [[cands[j].includes(cands[i]) for j in range(m)] for i in range(m)]
-    # chains[k][i] = number of increasing chains of length k+1 ending at i
-    prev = [1] * m
-    total = m
-    for _ in range(1, bounds.n_max):
-        cur = [0] * m
-        for i in range(m):
-            for j in range(m):
-                if incl[j][i]:
-                    cur[j] += prev[i]
-        prev = cur
-        total += sum(cur)
-    return total * len(bounds.r_list)
-
-
 def preset_normal_cone(ideal):
     """Chain for the deformation to the normal cone of V(ideal)."""
     if ideal.is_zero or ideal.is_unit:

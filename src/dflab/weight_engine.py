@@ -173,10 +173,11 @@ def weight_at(variety, flag, r, k):
     return weight_sequence(variety, flag, r, (k,))[k]
 
 
-def _weight(tables, scale, fib):
+def _weight(tables, scale, fib, count):
     """Minus the total level over krP, on its fibres (p, lo, hi), scale =
     k * r, from level tables (A, C, table): the chart tables of J^k, or the
-    closure tables of _closure_tables.  No table weighs 0.
+    closure tables of _closure_tables.  count is #krP, the points of the
+    fibres, which the caller has counted already.  No table weighs 0.
 
     A one-cell table is constant over krP: LevelStepper.advance returns
     one for a chart on which every move projects to 0, and at k = 0 krP is
@@ -191,7 +192,6 @@ def _weight(tables, scale, fib):
     Each point's level is the largest over the tables and the floor.  A
     slice past the end of a table comes back short, so a table that does
     not cover krP raises ConsistencyError."""
-    count = sum(hi - lo + 1 for _, lo, hi in fib)
     floor = 0
     levels = None
     for weights, c, table in tables:
@@ -245,21 +245,24 @@ def _walk(variety, flag, r, closure):
     Each sample reads the fibres of krP from the variety's fibre store
     (PolarizedToricVariety.dilate_fibres), so krP is enumerated once per
     variety, whichever walk, record or r asks for it first, and all three
-    counts are fed from that one list; only the integers are kept.  W
-    reads one LevelStepper, so the level tables of J^k are stepped from
-    those of J^(k-1), and a chart whose table is one constant cell is a
-    floor, not a column (see _weight); a trivial flag has no stepper and
-    weighs 0.  The closure weight is counted only when closure is set, by
-    the same _weight from _closure_tables.
+    counts are fed from that one list; #krP is counted once and handed to
+    each _weight call, and only the integers are kept.  W reads one
+    LevelStepper, so the level tables of J^k are stepped from those of
+    J^(k-1), and a chart whose table is one constant cell is a floor, not
+    a column (see _weight); a trivial flag has no stepper and weighs 0.
+    The closure weight is counted only when closure is set, by the same
+    _weight from _closure_tables.
     """
     stepper = None if flag.trivial else LevelStepper(variety, flag, r)
 
     def sample(k):
         fib = variety.dilate_fibres(k * r)
-        return (sum(hi - lo + 1 for _, lo, hi in fib),
-                _weight(stepper.advance(k), k * r, fib) if stepper else 0,
-                _weight(_closure_tables(variety, flag, r, k), k * r, fib)
-                if closure else None)
+        count = sum(hi - lo + 1 for _, lo, hi in fib)
+        return (count,
+                _weight(stepper.advance(k), k * r, fib, count)
+                if stepper else 0,
+                _weight(_closure_tables(variety, flag, r, k), k * r, fib,
+                        count) if closure else None)
 
     return sample
 
@@ -276,7 +279,7 @@ def closure_weight_at(variety, flag, r, k):
     """
     _check_k(k)
     return _weight(_closure_tables(variety, flag, r, k), k * r,
-                   variety.dilate_fibres(k * r))
+                   variety.dilate_fibres(k * r), variety.ehrhart_count(k * r))
 
 
 def _closure_tables(variety, flag, r, k):

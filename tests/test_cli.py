@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from dflab import cli
+from dflab import cli, stability_lab
+from dflab.errors import ConsistencyError
 
 
 COMPUTE_JOB = {
@@ -86,6 +87,11 @@ def test_compute_quasi_regime_exits_two(tmp_path, capsys):
     (lambda j: j.update(variety={"type": "moebius"}), "bad_variety"),
     (lambda j: j["flag_ideal"].update(
         ideals=[{"gens": [[1]]}, {"gens": [[2]]}]), "chain_violation"),
+    # an ideal is an object with gens: an entry with a misspelt key is not
+    # the zero ideal, and a bare list of generators is not an ideal
+    (lambda j: j["flag_ideal"].update(ideals=[{"gns": [[2]]}]),
+     "ideal_without_gens"),
+    (lambda j: j["flag_ideal"].update(ideals=[[[2]]]), "bare_list_ideal"),
 ])
 def test_compute_rejects_bad_jobs(tmp_path, capsys, mangle, name):
     job = json.loads(json.dumps(COMPUTE_JOB))
@@ -129,6 +135,32 @@ def test_quasi_job_with_guard_reports_the_period(tmp_path, capsys):
                                 write_job(tmp_path, QUASI_JOB)])
     assert code == 2
     assert "period 3" in err
+
+
+# x^4 on P^1(2) reaches past the chart polytope at r = 1: the counts still
+# fit, and the report carries the precheck's note, but the closed formula's
+# exponent guard leaves the pipelines together undecided
+CLIPPED_JOB = {"variety": {"type": "projective_space", "n": 1, "d": 2},
+               "flag_ideal": {"ideals": [{"gens": [[4]]}]}, "r": 1}
+CLIPPED_NOTE = ("exceptional locus may be clipped at r=1; expect a "
+                "quasi-polynomial or an exponent error")
+
+
+def test_compute_notes_a_clipped_locus(tmp_path, capsys):
+    job = _with(CLIPPED_JOB, pipeline="counting")
+    code, out, err = run(capsys, ["compute", "--job", write_job(tmp_path, job)])
+    assert (code, err) == (0, "")
+    report = json.loads(out)["report"]
+    assert (report["DF"], report["notes"]) == ("3/2", [CLIPPED_NOTE])
+
+
+def test_compute_clipped_locus_with_both_pipelines_exits_two(tmp_path,
+                                                            capsys):
+    job = _with(CLIPPED_JOB, pipeline="both")
+    code, out, err = run(capsys, ["compute", "--job", write_job(tmp_path, job)])
+    assert (code, out) == (2, "")
+    assert err == ("ExponentTooSmall: newton polyhedron support point (4,) "
+                   "leaves the chart polytope at exponent r=1\n")
 
 
 def test_compute_rejects_malformed_json(tmp_path, capsys):
@@ -459,25 +491,49 @@ def test_search_cli_needs_bounds(tmp_path, capsys):
     assert "bounds" in err
 
 
+def test_search_files_a_consistency_failure_as_a_mismatch(tmp_path, capsys,
+                                                          monkeypatch):
+    # a ConsistencyError out of one record's evaluation is that record's
+    # mismatch: the search runs on, counts it, prints the report and
+    # exits 3
+    evaluate = stability_lab.evaluate
+
+    def failing(variety, flag, r, **kwargs):
+        if flag.chain[-1].gens == ((2,),) and r == 2:
+            raise ConsistencyError("made-up disagreement")
+        return evaluate(variety, flag, r, **kwargs)
+
+    monkeypatch.setattr(stability_lab, "evaluate", failing)
+    code, out, err = run(capsys, ["search", "--job",
+                                  write_job(tmp_path, SEARCH_JOB)])
+    assert code == 3
+    assert err == ""
+    doc = json.loads(out)
+    assert (doc["total"], doc["decided"], doc["undecided"],
+            doc["mismatches"]) == (4, 2, 1, 1)
+    assert [(rec["chain"], rec["r"], rec["DF"], rec["diagnosis"])
+            for rec in doc["records"] if rec["status"] == "mismatch"] == \
+        [([[[2]]], 2, None, "made-up disagreement")]
+
+
+def test_compute_consistency_failure_exits_three(tmp_path, capsys,
+                                                 monkeypatch):
+    def failing(*args, **kwargs):
+        raise ConsistencyError("made-up disagreement")
+
+    monkeypatch.setattr(cli, "evaluate", failing)
+    code, out, err = run(capsys, ["compute", "--job",
+                                  write_job(tmp_path, COMPUTE_JOB)])
+    assert code == 3
+    assert out == ""
+    assert err == "consistency failure: made-up disagreement\n"
+
+
 def test_search_worker_pool(tmp_path, capsys):
     path = write_job(tmp_path, SEARCH_JOB)
     base = run(capsys, ["search", "--job", path])
     pooled = run(capsys, ["search", "--job", path, "--workers", "2"])
     assert pooled == base
-
-
-def test_worker_resolution_precedence(monkeypatch):
-    class Args:
-        workers = None
-
-    monkeypatch.delenv("DFLAB_WORKERS", raising=False)
-    assert cli._resolve_workers(Args(), {}) == 1
-    monkeypatch.setenv("DFLAB_WORKERS", "3")
-    assert cli._resolve_workers(Args(), {}) == 3
-    assert cli._resolve_workers(Args(), {"workers": 2}) == 2
-    args = Args()
-    args.workers = 5
-    assert cli._resolve_workers(args, {"workers": 2}) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +548,6 @@ def test_worker_resolution_precedence(monkeypatch):
                                              "vertices": [[0], ["a"]]})),
     ("compute", _with(COMPUTE_JOB, flag_ideal={"ideals": [{"gens": [["a"]]}]})),
     ("compute", _with(COMPUTE_JOB, K_range=[1])),
-    ("search", _with(SEARCH_JOB, workers="two")),
     ("search", _with(SEARCH_JOB, bounds={"N_max": 1, "d_max": 2,
                                          "r_list": [1]})),
     ("compute", _with(COMPUTE_JOB, K_range=[1, 8], K_cap=-5)),
@@ -502,7 +557,7 @@ def test_worker_resolution_precedence(monkeypatch):
     ("compute", _with(COMPUTE_JOB, variety={"type": "polytope",
                                              "vertices": [[]]})),
 ], ids=["r", "variety_n", "sides", "vertex_entry", "generator_entry",
-        "K_range_length", "workers", "bounds_without_g_max",
+        "K_range_length", "bounds_without_g_max",
         "K_cap_below_window", "K_cap_unused", "search_K_cap", "no_sides",
         "empty_vertex"])
 def test_malformed_job_fields_exit_one(tmp_path, capsys, command, job):
@@ -589,24 +644,15 @@ def test_bad_search_bounds_exit_one(tmp_path, capsys, bounds):
 
 
 # ---------------------------------------------------------------------------
-# a worker count below 1 is invalid input wherever it comes from
+# a worker count below 1 is invalid input; the count comes from --workers
+# alone, so a job's workers field changes nothing
 
-@pytest.mark.parametrize("argv, job, env", [
-    (["--workers=0"], {}, None),
-    (["--workers=-2"], {}, None),
-    (["--workers", "0"], {"workers": 2}, None),
-    ([], {"workers": -3}, None),
-    ([], {"workers": 0}, "2"),
-    ([], {}, "0"),
-    ([], {}, "-1"),
-], ids=["flag_zero", "flag_negative", "flag_zero_over_job", "job_negative",
-        "job_zero_over_env", "env_zero", "env_negative"])
-def test_worker_count_below_one_exits_one(tmp_path, capsys, monkeypatch,
-                                          argv, job, env):
-    if env is None:
-        monkeypatch.delenv("DFLAB_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("DFLAB_WORKERS", env)
+@pytest.mark.parametrize("argv, job", [
+    (["--workers=0"], {}),
+    (["--workers=-2"], {}),
+    (["--workers", "0"], {"workers": 2}),
+], ids=["flag_zero", "flag_negative", "flag_zero_over_job"])
+def test_worker_count_below_one_exits_one(tmp_path, capsys, argv, job):
     path = write_job(tmp_path, dict(SEARCH_JOB, **job))
     code, out, err = run(capsys, ["search", "--job", path] + argv)
     assert code == 1

@@ -27,7 +27,7 @@ from dflab import (
     projective_space,
     validate_flag_ideal,
 )
-from dflab.hull import point_in_convex_hull
+from dflab.hull import extreme_points, point_in_convex_hull
 from dflab.monomial_algebra import minimalize, phi_value, t_degree
 
 
@@ -282,7 +282,7 @@ def test_newton_polyhedron_principal_degree_two():
     f = np_.facets[0]
     assert f.normal == (1, 2)
     assert f.order == 2
-    assert set(f.vertices) == {(2, 0), (0, 1)}
+    assert set(extreme_points(f.points)) == {(2, 0), (0, 1)}
 
 
 def test_newton_polyhedron_max_ideal_squared():
@@ -291,7 +291,9 @@ def test_newton_polyhedron_max_ideal_squared():
     f = np_.facets[0]
     assert f.normal == (1, 1, 2)
     assert f.order == 2
-    assert set(f.vertices) == {(2, 0, 0), (0, 2, 0), (0, 0, 1)}
+    # xy lies on the facet without being one of its vertices
+    assert f.points == ((0, 0, 1), (0, 2, 0), (1, 1, 0), (2, 0, 0))
+    assert set(extreme_points(f.points)) == {(2, 0, 0), (0, 2, 0), (0, 0, 1)}
 
 
 def test_newton_polyhedron_smooth_blowup():
@@ -301,7 +303,8 @@ def test_newton_polyhedron_smooth_blowup():
 
 def test_newton_polyhedron_two_facets():
     np_ = newton_polyhedron(chart_flag(ideal(1, (3,)), ideal(1, (1,))))
-    data = sorted((f.normal, f.order, set(f.vertices)) for f in np_.facets)
+    data = sorted((f.normal, f.order, set(extreme_points(f.points)))
+                  for f in np_.facets)
     assert data == [
         ((1, 1), 2, {(1, 1), (0, 2)}),
         ((1, 2), 3, {(3, 0), (1, 1)}),
@@ -395,15 +398,16 @@ def point_flags(draw):
 @given(point_flags())
 def test_newton_polyhedron_keeps_the_strictly_positive_facets(flag):
     # the compact facets are the support's facets with a strictly positive
-    # normal, and their vertices are the points on them outside the hull
-    # of the others
+    # normal, holding the support points on them, and their vertices are
+    # the points on them outside the hull of the others
     pts = {g + (j,) for j, i in enumerate(flag.chain) for g in i.gens}
     pts.add((0,) * flag.nvars + (flag.big_n,))
     want = oracles.facets_of_points(sorted(pts), True)
     got = newton_polyhedron(flag).facets
     assert [(f.normal, f.order) for f in got] == [(w, c) for w, c, _ in want]
     for f, (_, _, on) in zip(got, want):
-        assert f.vertices == tuple(
+        assert f.points == on
+        assert extreme_points(f.points) == list(
             p for i, p in enumerate(on)
             if not point_in_convex_hull(p, on[:i] + on[i + 1:]))
 

@@ -10,6 +10,7 @@ import dflab.lattice_geometry as lg
 import dflab.monomial_algebra as ma
 import dflab.stability_lab as lab
 from dflab.errors import ExponentTooSmall, InvalidInput, NotStabilized
+from dflab.intersection_engine import df_intersection
 from dflab.lattice_geometry import (
     box,
     hirzebruch_anticanonical,
@@ -23,7 +24,6 @@ from dflab.stability_lab import (
     preset_normal_cone,
     record_key,
     search_destabilizers,
-    search_space_size,
 )
 from dflab.weight_engine import FitOptions, evaluate
 
@@ -92,17 +92,6 @@ def test_chain_enumeration_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def test_search_space_size_matches_enumeration():
-    v = projective_space(1, 1)
-    for bounds in (
-            LINE_BOUNDS,
-            SearchBounds(n_max=2, d_max=2, g_max=1, r_list=(1,)),
-            SearchBounds(n_max=3, d_max=3, g_max=1, r_list=(1, 2, 3))):
-        chains = enumerate_flag_ideals(v, bounds)
-        assert search_space_size(v, bounds) == \
-            len(chains) * len(bounds.r_list)
 
 
 def test_normal_cone_preset():
@@ -251,6 +240,24 @@ def test_chart_search_builds_one_polyhedron_per_chain(monkeypatch):
         assert rec["status"] == "ok"
         assert (rec["DF"], rec["DF_intersection"], rec["consistent"]) == (
             str(rep.df), str(rep.decomposition.df), rep.consistent)
+
+
+def test_search_files_an_exponent_error_as_undecided():
+    # (x^4) on P^1(2) at r = 1 counts to a polynomial, but the closed
+    # formula's exponent guard fires: the record is undecided, with the
+    # guard's message as its diagnosis
+    v = projective_space(1, 2)
+    bounds = SearchBounds(n_max=1, d_max=4, g_max=1, r_list=(1,))
+    report = search_destabilizers(v, bounds)
+    flag = validate_flag_ideal([MonomialIdeal.make(1, [(4,)])])
+    with pytest.raises(ExponentTooSmall) as exc:
+        df_intersection(v, flag, 1)
+    rec = report.records[-1]
+    assert (rec["chain"], rec["status"], rec["DF"]) == (
+        [[[4]]], "undecided", None)
+    assert rec["diagnosis"] == str(exc.value)
+    assert "support point (4,)" in rec["diagnosis"]
+    assert report.mismatches == []
 
 
 def test_search_resume_drops_torn_last_line(tmp_path):

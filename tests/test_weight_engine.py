@@ -261,6 +261,11 @@ F1_CHARTS = tuple(
     for v in F1.polytope.vertices)
 
 
+def point_count(fib):
+    """#krP from its fibres, the count _weight is handed."""
+    return sum(hi - lo + 1 for _, lo, hi in fib)
+
+
 def reference_weight(variety, flag, r, k):
     if flag.trivial:
         return 0
@@ -350,7 +355,8 @@ def test_stepped_tables_match_t_degree_sum(case, r, start):
     for k in range(start, 7):
         tables = stepper.advance(k)
         assert stepper.k == k
-        assert we._weight(tables, k * r, fibres(variety.polytope, k * r)) \
+        fib = fibres(variety.polytope, k * r)
+        assert we._weight(tables, k * r, fib, point_count(fib)) \
             == reference_weight(variety, flag, r, k)
 
 
@@ -458,11 +464,11 @@ def test_constant_tables_weigh_as_padded_ones(flag, r, k, cells, constant):
     if constant:
         tables = [t for t in tables if len(t[2]) == 1]
     fib = fibres(F1.polytope, k * r)
-    got = we._weight(tables, k * r, fib)
+    count = point_count(fib)
+    got = we._weight(tables, k * r, fib, count)
     assert got == we._weight(padded_to_read_box(stepper, tables, k), k * r,
-                             fib)
+                             fib, count)
     if constant:
-        count = sum(hi - lo + 1 for _, lo, hi in fib)
         assert got == -max([0] + [t[0] for _, _, t in tables]) * count
 
 
@@ -486,8 +492,9 @@ def test_f1_cox_tables_read_fibres_backwards():
             [0, 0, 1, 1]
         assert sorted(len(t) for a, c, t in tables)[:2] == [1, 1]
         for k in (3, 4):
+            fib = fibres(F1.polytope, k * r)
             assert we._weight(LevelStepper(F1, EVERY_CHART, r).advance(k),
-                              k * r, fibres(F1.polytope, k * r)) == \
+                              k * r, fib, point_count(fib)) == \
                 reference_weight(F1, EVERY_CHART, r, k)
 
 
@@ -512,9 +519,9 @@ def test_weight_reads_fibre_slices_of_every_step(variety, k, data):
         table = data.draw(st.lists(st.integers(0, 9), min_size=size,
                                    max_size=size))
         tables.append((a, c, table))
-        assert we._weight([tables[-1]], k, fib) == -sum(
+        assert we._weight([tables[-1]], k, fib, len(points)) == -sum(
             table[i - k * c] for i in idx)
-    assert we._weight(tables, k, fib) == -sum(
+    assert we._weight(tables, k, fib, len(points)) == -sum(
         max(t[sum(x * y for x, y in zip(a, u)) - k * c] for a, c, t in tables)
         for u in points)
 
@@ -525,10 +532,24 @@ def test_weight_rejects_a_table_short_of_the_dilate():
     fib = fibres(projective_space(1, 1).polytope, 3)
     for a, c in ((1, 0), (-1, -1), (2, 0)):
         table = list(range(3 * abs(a) + 1))
-        assert we._weight([((a,), c, table)], 3, fib) == \
+        assert we._weight([((a,), c, table)], 3, fib, 4) == \
             -sum(table[a * x - 3 * c] for x in range(4))
         with pytest.raises(ConsistencyError):
-            we._weight([((a,), c, table[:-1])], 3, fib)
+            we._weight([((a,), c, table[:-1])], 3, fib, 4)
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_weight_rejects_a_count_off_by_one(off):
+    # _weight takes #krP from its caller instead of recounting the fibres,
+    # so a count that misses them by one fails the coverage check of a
+    # table that covers krP exactly
+    fib = fibres(F1.polytope, 3)
+    tables = LevelStepper(F1, EVERY_CHART, 1).advance(3)
+    count = point_count(fib)
+    assert we._weight(tables, 3, fib, count) == \
+        reference_weight(F1, EVERY_CHART, 1, 3)
+    with pytest.raises(ConsistencyError):
+        we._weight(tables, 3, fib, count + off)
 
 
 def test_df_counting_steps_each_k_once(monkeypatch):
@@ -541,8 +562,8 @@ def test_df_counting_steps_each_k_once(monkeypatch):
         step(self)
         steps.append(self.k)
 
-    def recorded_weight(tables, scale, fib):
-        weights[scale] = weight(tables, scale, fib)
+    def recorded_weight(tables, scale, fib, count):
+        weights[scale] = weight(tables, scale, fib, count)
         return weights[scale]
 
     monkeypatch.setattr(LevelStepper, "step", counted_step)
@@ -564,7 +585,8 @@ def test_weight_of_no_tables_is_zero():
     # a trivial flag's Newton polyhedron has no compact facet, so its
     # closure count reads no table and weighs 0
     v = projective_space(2, 2)
-    assert we._weight([], 4, fibres(v.polytope, 4)) == 0
+    fib = fibres(v.polytope, 4)
+    assert we._weight([], 4, fib, point_count(fib)) == 0
     trivial = flag_of([[(0, 0)]], 2)
     assert we._closure_tables(v, trivial, 2, 3) == []
     assert closure_weight_at(v, trivial, 2, 3) == 0
@@ -578,8 +600,8 @@ def test_df_counting_reads_the_closure_through_weight(monkeypatch):
     calls = []
     weight = we._weight
 
-    def recorded_weight(tables, scale, fib):
-        calls.append((scale, weight(tables, scale, fib)))
+    def recorded_weight(tables, scale, fib, count):
+        calls.append((scale, weight(tables, scale, fib, count)))
         return calls[-1][1]
 
     monkeypatch.setattr(we, "_weight", recorded_weight)
