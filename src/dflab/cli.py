@@ -59,11 +59,19 @@ def _list(value, what):
     return tuple(value)
 
 
+def _check_fields(obj, known, what):
+    """InvalidInput naming the first key of obj that is not in known."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise InvalidInput("unknown %s field %r" % (what, unknown[0]))
+
+
 def build_variety(obj):
     if not isinstance(obj, dict):
         raise InvalidInput("variety must be an object")
     kind = obj.get("type", "polytope")
     if kind == "polytope":
+        _check_fields(obj, ("type", "vertices", "chart_vertex"), "variety")
         if "vertices" not in obj:
             raise InvalidInput("polytope variety needs vertices")
         verts = [_list(v, "vertex")
@@ -72,10 +80,13 @@ def build_variety(obj):
             if "chart_vertex" in obj else None
         return make_variety(verts, chart)
     if kind == "projective_space":
+        _check_fields(obj, ("type", "n", "d"), "variety")
         return projective_space(obj.get("n", 1), obj.get("d", 1))
     if kind == "box":
+        _check_fields(obj, ("type", "sides"), "variety")
         return box(_list(obj.get("sides", [1]), "sides"))
     if kind == "hirzebruch":
+        _check_fields(obj, ("type",), "variety")
         return hirzebruch_anticanonical()
     raise InvalidInput("unknown variety type %r" % (kind,))
 
@@ -83,7 +94,10 @@ def build_variety(obj):
 def build_flag(obj, variety):
     if not isinstance(obj, dict):
         raise InvalidInput("flag_ideal must be an object")
+    _check_fields(obj, ("mode", "ideals", "N"), "flag_ideal")
     mode = obj.get("mode", "chart")
+    if mode not in ("chart", "cox"):
+        raise InvalidInput("unknown mode %r" % (mode,))
     ideals_obj = obj.get("ideals")
     if not isinstance(ideals_obj, list) or not ideals_obj:
         raise InvalidInput("flag_ideal needs a nonempty ideals list")
@@ -95,6 +109,7 @@ def build_flag(obj, variety):
         if not isinstance(entry, dict) or "gens" not in entry:
             raise InvalidInput(
                 "each ideal must be an object with gens, not %r" % (entry,))
+        _check_fields(entry, ("gens",), "ideal")
         gens = _list(entry["gens"], "gens")
         chain.append(MonomialIdeal.make(
             nvars, [_list(g, "generator") for g in gens]))
@@ -168,6 +183,8 @@ def _write_atomic(path, text):
 
 
 def compute_envelope(job):
+    _check_fields(job, ("variety", "flag_ideal", "r", "pipeline", "K_range",
+                       "K_cap", "guard"), "job")
     variety = build_variety(job.get("variety", {}))
     flag = build_flag(job.get("flag_ideal", {}), variety)
     r = as_integer(job.get("r", 1), "r")
@@ -342,15 +359,18 @@ def _verify_battery(args):
 
 
 def cmd_search(args):
+    if args.workers < 1:
+        raise InvalidInput(
+            "--workers must be at least 1, not %d" % args.workers)
     job = load_job(args)
+    _check_fields(job, ("variety", "bounds", "K_range", "K_cap", "guard"),
+                 "search job")
     variety = build_variety(job.get("variety", {}))
     if "bounds" not in job:
         raise InvalidInput("search job needs bounds")
     bounds = SearchBounds.from_json(job["bounds"])
+    _check_fields(job["bounds"], bounds.to_json_dict(), "bounds")
     options = _fit_options(job)
-    if args.workers < 1:
-        raise InvalidInput(
-            "--workers must be at least 1, not %d" % args.workers)
     report = search_destabilizers(
         variety, bounds, options=options, workers=args.workers,
         stream_path=args.stream)

@@ -250,18 +250,19 @@ def _chart_moves(flag, idxs):
 
 @dataclass
 class _ChartTable:
+    idxs: tuple      # the chart's variables, as facet indices in cox mode
     funcs: tuple     # exponent i of u in sP is <funcs[i], u> - s * offs[i]
     offs: tuple
     side: tuple      # D_i: J^k is stepped on the box of side k * D_i
-    reach: tuple     # e_i: advance pads to the box of side k * e_i
+    reach: tuple     # e_i: advance pads live axes to the box of side k * e_i
     moves: list      # _chart_moves on this chart
     shape: list
     table: list      # row-major levels over the box of side lengths shape
 
 
 class LevelStepper:
-    """Per-chart level tables of the non-trivial flag's powers J^k for
-    k = 0, 1, 2, ..., each built from the one before.
+    """Level tables of the non-trivial flag's powers J^k for k = 0, 1, 2,
+    ..., on the charts that can hold a level, each built from the one before.
 
     Localization is a ring map, so on a chart the level function of J^k is
     the min-plus convolution of that of J^(k-1) with that of J.  Levels do
@@ -270,36 +271,44 @@ class LevelStepper:
 
         t_k(y) = min(t_(k-1)(y) + N, min over (g, j) of t_(k-1)(y - g) + j)
 
-    with t_0 = 0.  Each generator term is one shifted row-wise min over
-    the flat table.  D_i is the largest projected generator exponent on
-    axis i (0 when the chart has no moves), so every generator of J^k is
-    at most k * D on the chart and t_k(y) = t_k(min(y, k * D)): t_k is
-    constant along axis i past k * D_i.  The table of J^k is therefore
-    stepped on the box of side k * D_i only, padding the table of J^(k-1)
-    by its last cell on each axis is exact, and advance pads the table of
-    J^k the same way to the box of side k * e_i that krP reads, with
-    e_i = max(D_i, r * w_i) and w_i the chart functional's reach over the
-    vertices.  A chart with D = 0 (every move projects to 0, or it has no
-    moves) keeps one cell, k * j_0 with j_0 the least level of a move or
-    k * N with none, and advance returns that cell unpadded.
+    with t_0 = 0, each generator term one shifted row-wise min over the
+    flat table.  With D_i the largest projected generator exponent on axis
+    i (0 with no moves), every generator of J^k is at most k * D on the
+    chart, so t_k is constant along axis i past k * D_i: J^k is stepped on
+    the box of side k * D_i, padding J^(k-1)'s table by its last cell on
+    each axis is exact, and advance pads J^k's table the same way to the
+    box of side k * e_i that krP reads, e_i = max(D_i, r * w_i) with w_i
+    the chart functional's reach over the vertices.
+
+    Axis i is live when D_i > 0.  The moves are 0 on the other axes, so a
+    chart's level is that of J^k with every variable but its live ones
+    inverted, and inverting more can only lower a level: a chart whose
+    live variables all lie in another chart never reads above it.  Visited
+    by decreasing number of live variables, a chart is kept only when no
+    chart kept before holds all its live variables.
     """
 
     def __init__(self, variety, flag, r):
         self.k = 0
         self.big_n = flag.big_n
         verts = variety.polytope.vertices
-        self._charts = []
+        charts = []
         for idxs, funcs, offs in _chart_functionals(variety, flag):
             moves = _chart_moves(flag, idxs)
             side = tuple(max([g[i] for g, _ in moves], default=0)
                          for i in range(len(idxs)))
             reach = tuple(max(d, r * max(dot(a, v) - c for v in verts))
                           for d, a, c in zip(side, funcs, offs))
-            self._charts.append(_ChartTable(
-                funcs, offs, side, reach, moves, [1] * len(side), [0]))
+            charts.append(_ChartTable(
+                idxs, funcs, offs, side, reach, moves, [1] * len(side), [0]))
+        self._charts = []
+        for ch in sorted(charts, key=lambda ch: -sum(map(bool, ch.side))):
+            live = {f for f, d in zip(ch.idxs, ch.side) if d}
+            if not any(live <= set(kept.idxs) for kept in self._charts):
+                self._charts.append(ch)
 
     def step(self):
-        """Advance every chart's table from J^k to J^(k+1)."""
+        """Advance every kept chart's table from J^k to J^(k+1)."""
         self.k += 1
         for ch in self._charts:
             shape = [self.k * e + 1 for e in ch.side]
@@ -322,27 +331,23 @@ class LevelStepper:
 
     def advance(self, k):
         """Step up to J^k (k at least the current power) and return the
-        level function of J^k on krP, one table per chart.
+        level function of J^k on krP, one table per kept chart.
 
         Returns a list of (A, C, table) with
-        g_k(u) = max over the list of table[<A, u> - k * r * C].  A chart
-        whose moves all project to 0 has a level constant over krP: its
-        table is that one cell, with A = 0 and C = 0, and _weight reads it
-        as a floor.  Every other table is the stepped one padded to the
-        box of side k * e_i, which holds the chart exponents of krP; A and
-        C fold the chart functionals, their offsets and the row-major
-        strides of that box into one dot product."""
+        g_k(u) = max over the list of table[<A, u> - k * r * C].  Each table
+        is the stepped one padded to the box of side k * e_i on the live
+        axes, which holds the chart exponents of krP, and of side 1 with
+        stride 0 on the dead ones, along which it is constant.  A and C
+        fold the chart functionals, their offsets and the strides into one
+        dot product."""
         if k < self.k:
             raise ValueError("cannot step back from J^%d to J^%d" % (self.k, k))
         while self.k < k:
             self.step()
         out = []
         for ch in self._charts:
-            if not any(ch.side):
-                out.append(((0,) * len(ch.funcs[0]), 0, ch.table))
-                continue
-            shape = [k * e + 1 for e in ch.reach]
-            strides = _strides(shape)
+            shape = [k * e + 1 if d else 1 for d, e in zip(ch.side, ch.reach)]
+            strides = [s if d else 0 for d, s in zip(ch.side, _strides(shape))]
             weights = tuple(dot(strides, col) for col in zip(*ch.funcs))
             out.append((weights, dot(strides, ch.offs),
                         _pad(ch.table, ch.shape, shape)))

@@ -16,7 +16,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from multiprocessing import get_context
 
 from .errors import (
     ConsistencyError,
@@ -300,6 +299,8 @@ def search_destabilizers(variety, bounds, options=None, workers=1,
             tasks.append((variety, bounds.mode, chain, pairs, options))
 
     parallel = workers and workers > 1 and len(tasks) > 1
+    if parallel:
+        from multiprocessing import get_context  # slow to import; pools only
     with (open(stream_path, "a") if stream_path else nullcontext()) as fh, \
             (get_context("fork").Pool(workers) if parallel
              else nullcontext()) as pool:

@@ -161,8 +161,7 @@ def fit_polynomial(samples, max_degree, guard=2):
 def weight_at(variety, flag, r, k):
     """W(k) for the stripped flag: minus the total level over krP.
 
-    Levels come from LevelStepper.advance: one integer table per chart (the
-    single fixed chart in chart mode, every maximal chart in cox mode)
+    Levels come from LevelStepper.advance: one integer table per kept chart
     holding the least level of J^k that contains each chart exponent vector
     of krP.  A point's level is the largest of its table entries, each read
     at one affine functional of the point; over a fibre of krP each chart's
@@ -179,25 +178,15 @@ def _weight(tables, scale, fib, count):
     closure tables of _closure_tables.  count is #krP, the points of the
     fibres, which the caller has counted already.  No table weighs 0.
 
-    A one-cell table is constant over krP: LevelStepper.advance returns
-    one for a chart on which every move projects to 0, and at k = 0 krP is
-    one point.  The largest such cell is a floor under every point's level
-    rather than a column of its own; a floor of 0 changes nothing, since
-    levels are at least 0, and with only constant tables W = -floor * #krP.
-
-    Over a fibre the flat index <A, u> - scale * C of any other table is
+    Over a fibre the flat index <A, u> - scale * C of a table is
     b + a * x for lo <= x <= hi, with a = A[-1] and b = <A', p> - scale *
     C, so the table's levels along the fibre are its slice with step a:
     read backwards and reversed when a < 0, one cell repeated when a = 0.
-    Each point's level is the largest over the tables and the floor.  A
-    slice past the end of a table comes back short, so a table that does
-    not cover krP raises ConsistencyError."""
-    floor = 0
+    Each point's level is the largest over the tables.  A slice past the
+    end of a table comes back short, so a table that does not cover krP
+    raises ConsistencyError."""
     levels = None
     for weights, c, table in tables:
-        if len(table) == 1:
-            floor = max(floor, table[0])
-            continue
         head, a = weights[:-1], weights[-1]
         col = []
         for p, lo, hi in fib:
@@ -214,11 +203,7 @@ def _weight(tables, scale, fib, count):
                 % (weights, len(col), count, scale))
         levels = col if levels is None else \
             [x if x >= y else y for x, y in zip(levels, col)]
-    if levels is None:
-        return -floor * count
-    if floor:
-        levels = [x if x >= floor else floor for x in levels]
-    return -sum(levels)
+    return -sum(levels) if levels else 0
 
 
 def _check_k(k):
@@ -248,10 +233,9 @@ def _walk(variety, flag, r, closure):
     counts are fed from that one list; #krP is counted once and handed to
     each _weight call, and only the integers are kept.  W reads one
     LevelStepper, so the level tables of J^k are stepped from those of
-    J^(k-1), and a chart whose table is one constant cell is a floor, not
-    a column (see _weight); a trivial flag has no stepper and weighs 0.
-    The closure weight is counted only when closure is set, by the same
-    _weight from _closure_tables.
+    J^(k-1) on the charts that can hold a point's level; a trivial flag has
+    no stepper and weighs 0.  The closure weight is counted only when
+    closure is set, by the same _weight from _closure_tables.
     """
     stepper = None if flag.trivial else LevelStepper(variety, flag, r)
 

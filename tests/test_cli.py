@@ -644,8 +644,81 @@ def test_bad_search_bounds_exit_one(tmp_path, capsys, bounds):
 
 
 # ---------------------------------------------------------------------------
+# an unknown flag mode is named as such, not as a generator of the wrong
+# arity: the mode is checked before it sizes the generators
+
+@pytest.mark.parametrize("gens", [[[2]], [[2, 0]], [[1, 1, 1, 1]]],
+                         ids=["chart_arity", "other_arity", "cox_arity"])
+def test_unknown_flag_mode_exits_one(tmp_path, capsys, gens):
+    job = _with(COMPUTE_JOB, flag_ideal={"mode": "foo",
+                                         "ideals": [{"gens": gens}]})
+    code, out, err = run(capsys, ["compute", "--job", write_job(tmp_path, job)])
+    assert (code, out) == (1, "")
+    assert err == "invalid input: unknown mode 'foo'\n"
+
+
+# ---------------------------------------------------------------------------
+# a field that nothing reads is invalid input, named in one line, so that a
+# misspelt field cannot leave its default in force without a word
+
+@pytest.mark.parametrize("command, job, unknown", [
+    ("compute", _with(COMPUTE_JOB, pipline="intersection"),
+     "job field 'pipline'"),
+    ("compute", _with(COMPUTE_JOB, K_rnage=[0, 8]), "job field 'K_rnage'"),
+    ("compute", _with(COMPUTE_JOB, variety=dict(COMPUTE_JOB["variety"],
+                                                 sides=[1])),
+     "variety field 'sides'"),
+    ("compute", _with(COMPUTE_JOB, variety={"type": "box", "sides": [1],
+                                             "n": 1}), "variety field 'n'"),
+    ("compute", _with(COMPUTE_JOB, variety={"type": "hirzebruch", "d": 2}),
+     "variety field 'd'"),
+    ("compute", _with(COMPUTE_JOB, variety={
+        "vertices": [[0], [2]], "chart": [0]}), "variety field 'chart'"),
+    ("compute", _with(COMPUTE_JOB, flag_ideal={
+        "ideals": [{"gens": [[2]]}], "mdoe": "cox"}),
+     "flag_ideal field 'mdoe'"),
+    ("compute", _with(COMPUTE_JOB, flag_ideal={
+        "ideals": [{"gens": [[2]], "level": 0}]}), "ideal field 'level'"),
+    ("search", _with(SEARCH_JOB, r=2), "search job field 'r'"),
+    ("search", _with(SEARCH_JOB, workers=2), "search job field 'workers'"),
+    ("search", _with(SEARCH_JOB, bounds=dict(SEARCH_JOB["bounds"], n_max=3)),
+     "bounds field 'n_max'"),
+    ("search", _with(SEARCH_JOB, variety={"type": "projective_space",
+                                           "n": 1, "dd": 2}),
+     "variety field 'dd'"),
+], ids=["pipeline", "K_range", "projective_space", "box", "hirzebruch",
+        "polytope", "flag_ideal", "ideal", "search_r", "search_workers",
+        "bounds", "search_variety"])
+def test_unknown_fields_exit_one(tmp_path, capsys, command, job, unknown):
+    code, out, err = run(capsys, [command, "--job", write_job(tmp_path, job)])
+    assert (code, out) == (1, "")
+    assert err == "invalid input: unknown %s\n" % unknown
+
+
+def test_every_known_field_is_read(tmp_path, capsys):
+    # a job that gives every field its default computes what the bare job
+    # does, and the same holds for a search
+    full = _with(COMPUTE_JOB, pipeline="both", K_range=[1, 7], K_cap=40,
+                 guard=2, flag_ideal={"mode": "chart", "N": 1,
+                                      "ideals": [{"gens": [[2]]}]})
+    reports = []
+    for job in (COMPUTE_JOB, full):
+        code, out, _ = run(capsys, ["compute", "--job",
+                                    write_job(tmp_path, job)])
+        assert code == 0
+        reports.append(json.loads(out)["report"])
+    assert reports[0] == reports[1]
+    full = _with(SEARCH_JOB, K_range=[1, 7], K_cap=40, guard=2,
+                 bounds=dict(SEARCH_JOB["bounds"], mode="chart"))
+    outs = [run(capsys, ["search", "--job", write_job(tmp_path, job)])
+            for job in (SEARCH_JOB, full)]
+    assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
 # a worker count below 1 is invalid input; the count comes from --workers
-# alone, so a job's workers field changes nothing
+# alone, and is checked before the job is read, whose workers field is
+# unknown
 
 @pytest.mark.parametrize("argv, job", [
     (["--workers=0"], {}),

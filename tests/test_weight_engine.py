@@ -361,13 +361,43 @@ def test_stepped_tables_match_t_degree_sum(case, r, start):
 
 
 # LevelStepper steps J^k on the box of side k * D_i, D_i the largest move
-# exponent on axis i, and advance pads it to the box krP reads, or returns
-# the one cell of a chart with D = 0; at every point of krP each chart's
-# table reads the level of the full-box stepping in tests/oracles.py.
+# exponent on axis i, keeps only the charts that can hold a point's level,
+# and advance pads each kept table to the box krP reads on its live axes
+# (D_i > 0); at every point of krP each kept table reads its chart's level
+# in the full-box stepping of tests/oracles.py, and the largest over the
+# kept tables is the largest over every chart.
 
 def chart_data(variety, flag):
     return [(funcs, offs, ma._chart_moves(flag, idxs))
             for idxs, funcs, offs in ma._chart_functionals(variety, flag)]
+
+
+def chart_levels(chart_table, scale, points):
+    """A level table's entry at each point: table[<A, u> - scale * C]."""
+    a, c, table = chart_table
+    return [table[sum(x * y for x, y in zip(a, u)) - scale * c]
+            for u in points]
+
+
+def full_box_levels(variety, flag, r, k):
+    """Per chart, in chart order: (functionals, the level of the full-box
+    stepping at each point of krP), and the points."""
+    data = chart_data(variety, flag)
+    full = oracles.full_box_level_tables(
+        data, variety.polytope.vertices, r, flag.big_n, k)[k]
+    points = oracles.prefix_walk_points(variety.polytope, k * r)
+    return ([(funcs, chart_levels(t, k * r, points))
+             for (funcs, _, _), t in zip(data, full)], points)
+
+
+def assert_kept_tables_read_the_full_box(variety, flag, r, k, stepper,
+                                         tables):
+    charts, points = full_box_levels(variety, flag, r, k)
+    want = dict(charts)
+    got = [chart_levels(t, k * r, points) for t in tables]
+    assert got == [want[ch.funcs] for ch in stepper._charts]
+    assert [max(col) for col in zip(*got)] == \
+        [max(col) for col in zip(*(levels for _, levels in charts))]
 
 
 @settings(max_examples=40, deadline=None)
@@ -378,49 +408,75 @@ def chart_data(variety, flag):
 def test_advance_matches_full_box_stepping(case, r, start):
     variety, flag = case
     assume(not flag.trivial)
-    expected = oracles.full_box_level_tables(
-        chart_data(variety, flag), variety.polytope.vertices, r,
-        flag.big_n, 6)
     stepper = LevelStepper(variety, flag, r)
     for k in range(start, 7):
-        points = oracles.prefix_walk_points(variety.polytope, k * r)
-        tables = stepper.advance(k)
-        assert len(tables) == len(expected[k])
-        for got, want in zip(tables, expected[k]):
-            assert chart_levels(got, k * r, points) == \
-                chart_levels(want, k * r, points)
-
-
-def chart_levels(chart_table, scale, points):
-    """A level table's entry at each point: table[<A, u> - scale * C]."""
-    a, c, table = chart_table
-    return [table[sum(x * y for x, y in zip(a, u)) - scale * c]
-            for u in points]
+        assert_kept_tables_read_the_full_box(
+            variety, flag, r, k, stepper, stepper.advance(k))
 
 
 def test_stepped_tables_hold_the_moves_box():
-    # PAST_THE_BOX lives on the rigid curve: on the two charts away from
-    # it every move projects to 0, so their tables keep one cell
-    cases = [(F1, PAST_THE_BOX, 1, [1, 1, 13, 13]),
-             (F1, PAST_THE_BOX, 2, [1, 1, 13, 13]),
+    # PAST_THE_BOX lives on the rigid curve: one chart through it is kept,
+    # stepped and padded along its one live axis
+    cases = [(F1, PAST_THE_BOX, 1, [13]),
+             (F1, PAST_THE_BOX, 2, [13]),
              (projective_space(2, 2), flag_of([[(2, 0), (1, 1), (0, 2)]], 2),
               3, [49])]
     for variety, flag, r, cells in cases:
         stepper = LevelStepper(variety, flag, r)
-        stepper.advance(3)
-        sides = [[max((g[i] for g, _ in moves), default=0)
-                  for i in range(len(funcs))]
-                 for funcs, _, moves in chart_data(variety, flag)]
+        tables = stepper.advance(3)
+        sides = {funcs: [max((g[i] for g, _ in moves), default=0)
+                         for i in range(len(funcs))]
+                 for funcs, _, moves in chart_data(variety, flag)}
         assert [len(ch.table) for ch in stepper._charts] == [
-            prod(3 * d + 1 for d in side) for side in sides]
+            prod(3 * d + 1 for d in sides[ch.funcs])
+            for ch in stepper._charts]
         assert sorted(len(ch.table) for ch in stepper._charts) == cells
+        assert [len(t) for _, _, t in tables] == [
+            prod(3 * e + 1 for d, e in zip(ch.side, ch.reach) if d)
+            for ch in stepper._charts]
+        assert_kept_tables_read_the_full_box(variety, flag, r, 3, stepper,
+                                             tables)
 
 
-# On a chart where every move projects to 0 the level of J^k is one
-# constant cell, which advance returns unpadded and _weight reads as a
-# floor; padded to the box krP reads, as the stepper did before, the same
-# tables weigh the same.  Made-up cells stand in for such charts too: a
-# floor of 0, and tables that are all constant.
+def cox_monomial(*facets):
+    """The product of the cox variables of the given facets of F1."""
+    idxs = [F1.polytope.facets.index(f) for f in facets]
+    return tuple(int(i in idxs) for i in range(4))
+
+
+# x0 x1 x2 x3 has a move off 0 on every chart of F1, so every chart is
+# kept and every table is padded to the box krP reads
+EVERY_CHART = flag_of([[(1, 1, 1, 1)]], 4, mode="cox", variety=F1)
+# x_F x_G on the rigid curve y = 0 and the adjacent facet x = 0: both
+# variables are live only on the chart at the origin, which dominates the
+# two charts that hold one of them
+ADJACENT = flag_of([[cox_monomial(((0, 1), 0), ((1, 0), 0))]], 4,
+                   mode="cox", variety=F1)
+# the same at the corner (3, 2), on y = 2 and x - y = 1: its chart comes
+# last in vertex order, so it is kept only because charts are visited by
+# decreasing number of live variables
+FAR_CORNER = flag_of([[cox_monomial(((0, -1), -2), ((-1, 1), -1))]], 4,
+                     mode="cox", variety=F1)
+# x_F x_G on the parallel facets y = 0 and y = 2: no chart holds both, so
+# one chart through each is kept
+PARALLEL = flag_of([[cox_monomial(((0, 1), 0), ((0, -1), -2))]], 4,
+                   mode="cox", variety=F1)
+
+
+@pytest.mark.parametrize("flag, kept", [
+    (PAST_THE_BOX, 1), (EVERY_CHART, 4), (ADJACENT, 1), (FAR_CORNER, 1),
+    (PARALLEL, 2)],
+    ids=["past_the_box", "every_chart", "adjacent", "far_corner", "parallel"])
+def test_f1_keeps_the_charts_that_can_hold_a_level(flag, kept):
+    for r in (1, 2):
+        stepper = LevelStepper(F1, flag, r)
+        assert len(stepper._charts) == kept
+        for k in (0, 1, 3):
+            tables = stepper.advance(k)
+            assert len(tables) == kept
+            assert_kept_tables_read_the_full_box(F1, flag, r, k, stepper,
+                                                 tables)
+
 
 def rigid_curve_flags():
     """Chains (x^e1) < (x^e2) < ... on the rigid curve of F1, e1 > e2."""
@@ -429,6 +485,29 @@ def rigid_curve_flags():
                         [[rigid_curve_gen(e)] for e in sorted(es)[::-1]], 4,
                         mode="cox", variety=F1))
 
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(rigid_curve_flags(), cox_flags(),
+                 st.sampled_from([ADJACENT, PARALLEL])),
+       st.integers(1, 2), st.integers(0, 4))
+@example(ADJACENT, 1, 3)
+@example(PARALLEL, 2, 2)
+def test_dropped_charts_read_at_most_the_kept_maximum(flag, r, k):
+    # a chart whose live variables lie among a kept chart's variables
+    # reads no level above that chart's, so none above the kept maximum
+    assume(not flag.trivial)
+    stepper = LevelStepper(F1, flag, r)
+    charts, points = full_box_levels(F1, flag, r, k)
+    kept = [chart_levels(t, k * r, points) for t in stepper.advance(k)]
+    top = [max(col) for col in zip(*kept)]
+    for funcs, levels in charts:
+        if all(ch.funcs != funcs for ch in stepper._charts):
+            assert all(x <= y for x, y in zip(levels, top))
+
+
+# A one-cell table, read at A = 0 as one repeated cell, weighs as the same
+# cell padded to the box krP reads: made-up cells stand in for constant
+# charts, among them a cell of 0, and tables that are all constant.
 
 def padded_to_read_box(stepper, tables, k):
     """tables with every one-cell table padded to the read box of side
@@ -452,9 +531,9 @@ def padded_to_read_box(stepper, tables, k):
 @given(st.one_of(rigid_curve_flags(), cox_flags()), st.integers(1, 2),
        st.integers(0, 4), st.lists(st.integers(0, 30), max_size=2),
        st.booleans())
-# two constant charts and a made-up floor of 0
+# a made-up cell of 0
 @example(PAST_THE_BOX, 1, 3, [0], False)
-# only constant tables: W = -floor * #krP
+# only constant tables: W = -max cell * #krP
 @example(PAST_THE_BOX, 2, 3, [7], True)
 @example(PAST_THE_BOX, 1, 2, [], True)
 def test_constant_tables_weigh_as_padded_ones(flag, r, k, cells, constant):
@@ -472,35 +551,38 @@ def test_constant_tables_weigh_as_padded_ones(flag, r, k, cells, constant):
         assert got == -max([0] + [t[0] for _, _, t in tables]) * count
 
 
-# x0 x1 x2 x3 has a move off 0 on every chart of F1, so every table is
-# padded to the box krP reads
-EVERY_CHART = flag_of([[(1, 1, 1, 1)]], 4, mode="cox", variety=F1)
+# the square of the cox variable of the facet x = 0: the kept chart's one
+# live functional is (1, 0), so its flat index does not move along a fibre
+LEFT_EDGE = flag_of([[tuple(2 * x for x in cox_monomial(((1, 0), 0)))]], 4,
+                    mode="cox", variety=F1)
 
 
 def test_f1_cox_tables_read_fibres_backwards():
     # the chart at (0, 2) has the cox variables of the facets y <= 2 and
     # x >= 0, so its flat index falls by the stride of the first axis as y
-    # grows: _weight reads its table slices backwards.  PAST_THE_BOX lives
-    # on the rigid curve y = 0, away from the charts at (3, 2) and (0, 2):
-    # their tables are one constant cell, read by no step
+    # grows: _weight reads its table slices backwards.  PAST_THE_BOX keeps
+    # one chart through the rigid curve y = 0, whose live functional is
+    # (0, 1): it steps forwards.  LEFT_EDGE keeps one chart through x = 0,
+    # whose live functional is (1, 0): one cell repeats along each fibre
     for r in (1, 2):
-        tables = LevelStepper(F1, EVERY_CHART, r).advance(3)
-        assert sorted((a[-1] > 0) - (a[-1] < 0) for a, c, t in tables) == \
-            [-1, 1, 1, 1]
-        tables = LevelStepper(F1, PAST_THE_BOX, r).advance(3)
-        assert sorted((a[-1] > 0) - (a[-1] < 0) for a, c, t in tables) == \
-            [0, 0, 1, 1]
-        assert sorted(len(t) for a, c, t in tables)[:2] == [1, 1]
-        for k in (3, 4):
-            fib = fibres(F1.polytope, k * r)
-            assert we._weight(LevelStepper(F1, EVERY_CHART, r).advance(k),
-                              k * r, fib, point_count(fib)) == \
-                reference_weight(F1, EVERY_CHART, r, k)
+        for flag, signs in ((EVERY_CHART, [-1, 1, 1, 1]),
+                            (PAST_THE_BOX, [1]), (LEFT_EDGE, [0])):
+            stepper = LevelStepper(F1, flag, r)
+            tables = stepper.advance(3)
+            assert sorted((a[-1] > 0) - (a[-1] < 0) for a, c, t in tables) \
+                == signs
+            assert_kept_tables_read_the_full_box(F1, flag, r, 3, stepper,
+                                                 tables)
+            for k in (3, 4):
+                fib = fibres(F1.polytope, k * r)
+                assert we._weight(stepper.advance(k), k * r, fib,
+                                  point_count(fib)) == \
+                    reference_weight(F1, flag, r, k)
 
 
 # _weight on made-up tables: every sign of the step a = A[-1] along the
-# fibres, which on a level table comes only out of the chart geometry (2-D
-# tables never step by 0), against the level sum over the prefix walk.
+# fibres, which on a level table comes only out of the chart geometry and
+# its live axes, against the level sum over the prefix walk.
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(CHART_VARIETIES + [F1]), st.integers(1, 3), st.data())
