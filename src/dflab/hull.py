@@ -1,17 +1,22 @@
 """Exact convex-hull primitives by exhaustive subset enumeration.
 
 Point counts here are small (tens, not thousands), so facets are found by
-testing every d-subset for a supporting hyperplane.  Normals, ranks and
-pivot columns all come from the one fraction-free elimination of
-intlinalg, so integer points build no Fraction; a subset inside a facet
-already found is skipped, since it spans that facet's hyperplane or none.
-Everything else is read from those facets: a set of affine rank m is
-first projected onto m coordinates on which that rank survives (an affine
-isomorphism on its affine hull, integer points staying integer), its
-vertices are the points whose facet normals have rank m.  The one volume
-the library computes, the lattice volume of a set on a hyperplane, is a
-facet sum one dimension down; triangulations stay as the tests'
-reference.  All answers are exact.
+trying every d-subset for a supporting hyperplane, depth-first in
+lexicographic order: the subsets on one prefix share the minors of its
+difference rows, each prefix row being expanded once (intlinalg's
+extend_minors) and only when a subset through the prefix is tried, and a
+prefix whose minors all vanish is dropped with every subset through it.
+Normals are the integer cofactor vectors of intlinalg.hyperplane_normal,
+so integer points build no Fraction; a subset inside a facet already found
+is skipped, since it spans that facet's hyperplane or none, and the side
+test of a normal stops at the first point found on each side.  Everything
+else is read from those facets: a set of affine rank m is first projected
+onto m coordinates on which that rank survives (an affine isomorphism on
+its affine hull, integer points staying integer), its vertices are the
+points whose facet normals have rank m.  The one volume the library
+computes, the lattice volume of a set on a hyperplane, is a facet sum one
+dimension down; triangulations stay as the tests' reference.  All answers
+are exact.
 """
 
 from __future__ import annotations
@@ -19,11 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd
+from operator import mul
 
 from .errors import InvalidInput
 from .intlinalg import (
-    det, dot, hyperplane_normal, pivot_columns, rank, solve_unique)
+    _int_rows, det, dot, extend_minors, hyperplane_normal, pivot_columns,
+    rank, solve_unique)
 
 
 @dataclass(frozen=True)
@@ -47,29 +54,89 @@ def facets_of_points(points):
     spans one hyperplane and gets it in both orientations, each holding
     every point; a set of lower rank spans no hyperplane and gets none.
     In R^1 the facets are the two ends, the lower one first.
+
+    The d-subsets are walked depth-first in lexicographic order.  The
+    minors of a prefix's difference rows are extended from those of its
+    own prefix by one row, once a subset through it is tried, so the
+    subsets on one prefix share its expansion.  A prefix whose minors all
+    vanish is dropped, since no subset through it spans a hyperplane.  A
+    subset inside a facet found already spans its hyperplane or none and
+    is skipped unexpanded; each other subset gets its normal from
+    hyperplane_normal and is a facet when no point lies on one side.
+    Rational points are scaled once to integer ones with the same
+    normals; offsets are read from the points as given.
     """
     points = sorted(set(tuple(p) for p in points))
     d = len(points[0])
     if d == 1:
         lo, hi = points[0][0], points[-1][0]
         return [Facet((1,), lo, ((lo,),)), Facet((-1,), -hi, ((hi,),))]
+    ints = points if all(type(x) is int for p in points for x in p) \
+        else _int_rows(points)[0]
+    n = len(points)
     seen = {}
-    # a subset inside a facet found already spans its hyperplane or none
     done = set()
-    for sub in combinations(points, d):
-        if sub in done:
-            continue
-        w0 = hyperplane_normal(sub)
-        if w0 is None:
-            continue
-        c0 = dot(w0, sub[0])
-        vals = [dot(w0, p) for p in points]
-        for w, c, ok in ((w0, c0, min(vals) >= c0),
-                         (tuple(-x for x in w0), -c0, max(vals) <= c0)):
-            if ok:
-                on = tuple(p for p, v in zip(points, vals) if v == c0)
-                seen[w, c] = Facet(w, c, on)
+
+    def expand(pts, minors):
+        """Minors of the difference rows of pts from those of all but the
+        last row, or None when they all vanish."""
+        if len(pts) == 1:
+            return minors
+        m = extend_minors(minors, [x - y for x, y in zip(pts[-1], pts[0])],
+                          len(pts) - 1)
+        return m if any(m) else None
+
+    def walk(sub, pts, minors):
+        """Try the d-subsets that extend sub, the indices of the integer
+        points pts.  minors are those of the difference rows of pts but
+        the last, which is expanded only once a subset through sub is
+        tried: a prefix whose subsets all lie on facets found costs none."""
+        k = len(sub)
+        if k < d - 1:
+            m = expand(pts, minors)
+            if m is not None:
+                for j in range(sub[-1] + 1, n - d + k + 1):
+                    walk(sub + (j,), pts + (ints[j],), m)
+            return
+        m = None
+        for j in range(sub[-1] + 1, n):
+            full = sub + (j,)
+            if full in done:
+                continue
+            if m is None:
+                m = expand(pts, minors)
+                if m is None:
+                    return
+            w = hyperplane_normal(pts + (ints[j],), m)
+            if w is None:
+                continue
+            c = dot(w, pts[0])
+            below = above = False
+            on = []
+            for i, q in enumerate(ints):
+                v = sum(map(mul, w, q))     # dot, inlined in the hot loop
+                if v == c:
+                    on.append(i)
+                elif v < c:
+                    below = True
+                    if above:
+                        break
+                else:
+                    above = True
+                    if below:
+                        break
+            else:
+                held = tuple(points[i] for i in on)
+                off = dot(w, points[sub[0]])
+                if not below:
+                    seen[w, off] = Facet(w, off, held)
+                if not above:
+                    neg = tuple(-x for x in w)
+                    seen[neg, -off] = Facet(neg, -off, held)
                 done.update(combinations(on, d))
+
+    for i in range(n - d + 1):
+        walk((i,), (ints[i],), (1,))
     return [seen[k] for k in sorted(seen)]
 
 
@@ -194,8 +261,11 @@ def lattice_volume(points, normal):
 
     with a_G the primitive inner normal and c_G the offset of G, and
     vol(G) the lattice volume of G, read by this function in one dimension
-    less.  A Q of lower dimension has no facets and volume 0.
+    less.  A Q of lower dimension has no facets and volume 0.  A normal
+    that is not primitive is rejected.
     """
+    if gcd(*normal) != 1:
+        raise InvalidInput("normal %r is not primitive" % (normal,))
     c = dot(normal, points[0])
     for p in points:
         if dot(normal, p) != c:

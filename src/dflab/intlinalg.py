@@ -1,18 +1,22 @@
 """Small exact linear-algebra kit over integers and rationals.
 
 Everything works on plain ints and fractions.Fraction; no floats enter or
-leave.  Determinants, ranks, pivot columns, linear solves and hyperplane
-normals all read one fraction-free (Bareiss) row echelon form of integer
-rows, rows with Fraction entries being scaled to integer ones first.
-Every entry of that form is a minor of the input, so the loop builds no
-Fraction; solve_unique builds them only for its solution.  Sizes are tiny
-(ambient dimension at most a handful), so clarity wins over asymptotics
-throughout.
+leave.  Determinants, ranks, pivot columns and linear solves read one
+fraction-free (Bareiss) row echelon form of integer rows, rows with
+Fraction entries being scaled to integer ones first.  Every entry of that
+form is a minor of the input, so the loop builds no Fraction; solve_unique
+builds them only for its solution.  A hyperplane normal is the cofactor
+vector of its difference rows, built by Laplace expansion one row at a
+time, so a caller that walks subsets sharing a prefix expands each prefix
+row once.  Sizes are tiny (ambient dimension at most a handful), so
+clarity wins over asymptotics throughout.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
@@ -70,9 +74,10 @@ def _echelon(m):
 def _null_vector(rows, pivots, width, free, value):
     """The vector n of length width with n[free] = value, 0 on the other
     columns that are no pivots, and rows . n = 0, for rows in echelon form
-    with the given pivot columns, by back-substitution.  With value the
-    D of _echelon every entry is an integer minor of the rows (Cramer's
-    rule), so each division is exact."""
+    with the given pivot columns, by back-substitution; solve_unique reads
+    its solution from it.  With value the D of _echelon every entry is an
+    integer minor of the rows (Cramer's rule), so each division is
+    exact."""
     n = [0] * width
     n[free] = value
     for k in reversed(range(len(pivots))):
@@ -119,28 +124,75 @@ def solve_unique(columns, b):
     return tuple(Fraction(y, d) for y in x[:ncols])
 
 
-def hyperplane_normal(points):
+@cache
+def _laplace(width, k):
+    """Laplace expansion of the k x k minors of k rows of the given width
+    along their last row: for each k-subset S of the columns, in the order
+    of combinations, the (column, index, sign) of its terms, index being
+    that of S without the column among the (k - 1)-subsets.  Built once
+    per (width, k) and process."""
+    index = {s: i for i, s in enumerate(combinations(range(width), k - 1))}
+    return tuple(
+        tuple((c, index[s[:t] + s[t + 1:]], (-1) ** (k - 1 + t))
+              for t, c in enumerate(s))
+        for s in combinations(range(width), k))
+
+
+@cache
+def _cofactors(width):
+    """The table of _laplace(width, width - 1) reordered and signed so
+    that its entry i gives (-1)^i times the minor without column i, the
+    (width - 1 - i)-th one in combinations order: hyperplane_normal reads
+    the cofactor vector from it without reversing the minors."""
+    return tuple(tuple((c, j, s if i % 2 == 0 else -s) for c, j, s in terms)
+                 for i, terms in enumerate(
+                     reversed(_laplace(width, width - 1))))
+
+
+def extend_minors(minors, row, k):
+    """The k x k minors of k rows, one per k-subset of the columns in the
+    order of combinations, from the (k - 1) x (k - 1) minors of the first
+    k - 1 rows and the last row.  The minors of no rows are (1,)."""
+    return tuple([sum([s * row[c] * minors[j] for c, j, s in terms])
+                  for terms in _laplace(len(row), k)])
+
+
+def hyperplane_normal(points, minors=None):
     """Primitive normal of the affine hyperplane through d points of R^d,
     or None when they span no hyperplane.
 
-    The points span one exactly when their d - 1 difference rows have rank
-    d - 1.  The null vector of the rows that is D on the one free column
-    is then, up to sign, their cofactor vector (entry i being (-1)^i times
-    the minor without column i); it is divided by its gcd and signed so
-    that its last nonzero entry is positive.
+    The normal is the cofactor vector of the d - 1 difference rows
+    p - points[0] (entry i being (-1)^i times the minor without column i),
+    divided by its gcd and signed so that its last nonzero entry is
+    positive; the points span a hyperplane exactly when it is not zero.
+    minors, when given, are the extend_minors of the first d - 2 rows of
+    integer points, so only the last row is expanded; otherwise every row
+    is, rows with Fraction entries being scaled to integer ones first.
     """
     p0 = points[0]
     d = len(p0)
-    rows, _ = _int_rows([[x - y for x, y in zip(p, p0)] for p in points[1:]])
-    red, pivots, value = _echelon(rows)
-    if len(pivots) != d - 1:
-        return None
-    free = next(c for c in range(d) if c not in pivots)
-    n = _null_vector(red, pivots, d, free, value)
+    if d == 1:
+        return (1,)
+    if minors is None:
+        rows, _ = _int_rows([[x - y for x, y in zip(p, p0)]
+                             for p in points[1:]])
+        minors = (1,)
+        for k, row in enumerate(rows[:-1], 1):
+            minors = extend_minors(minors, row, k)
+        last = rows[-1]
+    else:
+        last = [x - y for x, y in zip(points[-1], p0)]
+    n = [sum([s * last[c] * minors[j] for c, j, s in terms])
+         for terms in _cofactors(d)]
     g = gcd(*n)
-    if next(x for x in reversed(n) if x) < 0:
+    if not g:
+        return None
+    for x in reversed(n):
+        if x:
+            break
+    if x < 0:
         g = -g
-    return tuple(x // g for x in n)
+    return tuple([x // g for x in n])
 
 
 def integer_inverse(rows):

@@ -74,12 +74,12 @@ def test_extreme_points_match_caratheodory_reference(case):
 
 @st.composite
 def facet_inputs(draw):
-    """(points, strictly_positive) in R^d, d = 1..4: random points; points
+    """(points, strictly_positive) in R^d, d = 1..5: random points; points
     of a small grid, many of them on one facet; points on an affine
     subspace of lower dimension; or any of these divided by 2, 3 or 6.
     With strictly_positive only the facets whose normals are strictly
     positive are compared, the ones newton_polyhedron keeps."""
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 5))
     shape = draw(st.sampled_from(["random", "grid", "flat"]))
     if shape == "random":
         pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=9))
@@ -113,11 +113,37 @@ def facet_inputs(draw):
           True))
 # a plane in R^3: both orientations support it
 @example(([(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2)], False))
+# a simplex in R^5 with an edge point and a 2-face point; the first three
+# points are collinear
+@example(([(0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 0, 2), (0, 0, 0, 2, 0),
+           (0, 0, 2, 0, 0), (0, 2, 0, 0, 0), (2, 0, 0, 0, 0), (1, 1, 0, 0, 0)],
+          False))
 def test_facets_match_the_exhaustive_fraction_search(case):
     pts, strictly_positive = case
     got = [(f.normal, f.offset, f.points) for f in facets_of_points(pts)
            if not strictly_positive or min(f.normal) > 0]
     assert got == oracles.facets_of_points(pts, strictly_positive)
+
+
+def test_subsets_on_a_dependent_prefix_get_no_normal(monkeypatch):
+    # the first three points are collinear, so no 4-subset through them
+    # spans a hyperplane, and the search drops the prefix before trying one
+    tried = []
+    normal = hull.hyperplane_normal
+
+    def recorded(points, *args):
+        tried.append(points)
+        return normal(points, *args)
+
+    monkeypatch.setattr(hull, "hyperplane_normal", recorded)
+    pts = [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2), (0, 0, 1, 0),
+           (0, 1, 0, 0), (1, 0, 0, 0)]
+    got = [(f.normal, f.offset, f.points) for f in facets_of_points(pts)]
+    assert got == oracles.facets_of_points(pts)
+    assert tried
+    for sub in tried:
+        rows = [[x - y for x, y in zip(p, sub[0])] for p in sub[1:-1]]
+        assert intlinalg.rank(rows) == 2
 
 
 def test_facets_of_integer_points_build_no_fraction(monkeypatch):
@@ -188,6 +214,21 @@ def test_lattice_volume_skips_the_facets_through_its_apex(monkeypatch):
 def test_lattice_volume_rejects_points_off_the_hyperplane():
     with pytest.raises(InvalidInput):
         lattice_volume([(0, 0, 0), (1, 0, 0), (0, 1, 1)], (0, 0, 1))
+
+
+@pytest.mark.parametrize("points, normal, volume", [
+    # a segment of lattice length 2, which read as 1
+    ([(0, 0), (2, 0)], (0, 2), 2),
+    # a triangle of lattice volume 4, which read as 2 or failed an assert
+    ([(0, 0, 0), (2, 0, 0), (0, 2, 0)], (0, 0, 2), 4),
+    ([(0, 0, 0), (2, 0, 0), (0, 2, 0)], (0, 0, 3), 4),
+])
+def test_lattice_volume_rejects_a_normal_that_is_not_primitive(
+        points, normal, volume):
+    with pytest.raises(InvalidInput):
+        lattice_volume(points, normal)
+    primitive = tuple(x // max(normal) for x in normal)
+    assert lattice_volume(points, primitive) == volume
 
 
 @st.composite

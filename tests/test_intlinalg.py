@@ -1,8 +1,10 @@
-"""Tests for the integer elimination behind every determinant, rank,
-solve and hyperplane normal, against the Fraction row reduction and
-Gaussian determinant it replaced (kept in tests/oracles.py)."""
+"""Tests for the integer elimination behind every determinant, rank and
+solve, and for the cofactor expansion behind every hyperplane normal,
+against the Fraction row reduction and Gaussian determinant they replaced
+(kept in tests/oracles.py)."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 
 import oracles
 from dflab.intlinalg import (
-    det, dot, hyperplane_normal, pivot_columns, rank, solve_unique)
+    det, dot, extend_minors, hyperplane_normal, pivot_columns, rank,
+    solve_unique)
 
 
 def entries(draw):
@@ -54,6 +57,16 @@ def test_hyperplane_normal_matches_fraction_nullspace(case):
         assert normal is None
     if normal is not None:
         assert all(type(x) is int for x in normal)
+    if len(pts) > 1:
+        # scaled to integer points, whose first d - 2 difference rows are
+        # expanded ahead, as the facet search passes them
+        den = lcm(*(Fraction(x).denominator for p in pts for x in p))
+        ints = [tuple(int(x * den) for x in p) for p in pts]
+        minors = (1,)
+        for k, p in enumerate(ints[1:-1], 1):
+            minors = extend_minors(
+                minors, [x - y for x, y in zip(p, ints[0])], k)
+        assert hyperplane_normal(ints, minors) == normal
 
 
 @st.composite
