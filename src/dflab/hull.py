@@ -155,12 +155,11 @@ def point_in_convex_hull(q, points):
         for sub in combinations(points, m):
             p0 = sub[0]
             cols = [[x - y for x, y in zip(p, p0)] for p in sub[1:]]
-            cols = [list(col) for col in cols]
             if rank(cols) != m - 1:
                 continue
             target = [x - y for x, y in zip(q, p0)]
             try:
-                sol = solve_unique([list(c) for c in cols], target)
+                sol = solve_unique(cols, target)
             except ValueError:
                 continue
             if sol is None:

@@ -1,15 +1,18 @@
 """Small exact linear-algebra kit over integers and rationals.
 
 Everything works on plain ints and fractions.Fraction; no floats enter or
-leave.  Determinants, ranks, pivot columns and linear solves read one
-fraction-free (Bareiss) row echelon form of integer rows, rows with
-Fraction entries being scaled to integer ones first.  Every entry of that
-form is a minor of the input, so the loop builds no Fraction; solve_unique
-builds them only for its solution.  A hyperplane normal is the cofactor
-vector of its difference rows, built by Laplace expansion one row at a
-time, so a caller that walks subsets sharing a prefix expands each prefix
-row once.  Sizes are tiny (ambient dimension at most a handful), so
-clarity wins over asymptotics throughout.
+leave.  One engine computes every minor: Laplace expansion along the last
+row, one row at a time (extend_minors), so the minors of k rows come from
+those of the first k - 1.  Determinants, ranks, pivot columns and linear
+solves read the minors of the rows that are independent of the rows
+before them, rows with Fraction entries being scaled to integer ones
+first, so the expansion builds no Fraction; solve_unique builds them only
+for its solution, by Cramer's rule.  A hyperplane normal is the cofactor
+vector of its difference rows, so a caller that walks subsets sharing a
+prefix expands each prefix row once.  The expansion costs one term per
+column of each subset of the columns, exponential in the width; the
+library's widths are at most n + 1, so at most 5, and the tests draw
+widths up to 6: at these sizes clarity wins over asymptotics.
 """
 
 from __future__ import annotations
@@ -31,97 +34,6 @@ def _int_rows(rows):
     and hyperplane normal."""
     den = lcm(*(x.denominator for row in rows for x in row))
     return [[int(x * den) for x in row] for row in rows], den
-
-
-def _echelon(m):
-    """Bareiss row echelon form of m, a list of integer rows, reduced in
-    place: (rows, pivot columns, D), D being the last pivot times the sign
-    of the row swaps (1 when there is no pivot).
-
-    After the pivot p on row r each row below is replaced by
-    (p * row - f * pivot row) / prev, f being the row's entry in the pivot
-    column and prev the previous pivot.  By Sylvester's identity the
-    division is exact and every entry is a minor of the swapped input: on
-    the pivot rows so far and its own row, and the pivot columns so far
-    and its own column.  So D is, up to sign, the minor on the pivot rows
-    and columns, and the determinant of a square matrix of full rank.
-    """
-    pivots = []
-    sign = prev = 1
-    r = 0
-    for c in range(len(m[0]) if m else 0):
-        for pr in range(r, len(m)):
-            if m[pr][c]:
-                break
-        else:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-            sign = -sign
-        piv = m[r]
-        p = piv[c]
-        for i in range(r + 1, len(m)):
-            f = m[i][c]
-            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], piv)]
-        prev = p
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots, sign * prev
-
-
-def _null_vector(rows, pivots, width, free, value):
-    """The vector n of length width with n[free] = value, 0 on the other
-    columns that are no pivots, and rows . n = 0, for rows in echelon form
-    with the given pivot columns, by back-substitution; solve_unique reads
-    its solution from it.  With value the D of _echelon every entry is an
-    integer minor of the rows (Cramer's rule), so each division is
-    exact."""
-    n = [0] * width
-    n[free] = value
-    for k in reversed(range(len(pivots))):
-        row, c = rows[k], pivots[k]
-        n[c] = -dot(row[c + 1:], n[c + 1:]) // row[c]
-    return n
-
-
-def pivot_columns(rows):
-    """Pivot columns of the row echelon form of rows."""
-    return _echelon(_int_rows(rows)[0])[1]
-
-
-def rank(rows):
-    return len(pivot_columns(rows))
-
-
-def det(rows):
-    """Exact determinant: an int for integer rows, a Fraction otherwise."""
-    m, den = _int_rows(rows)
-    _, pivots, d = _echelon(m)
-    if len(pivots) < len(m):
-        d = 0
-    return d if den == 1 else Fraction(d, den ** len(m))
-
-
-def solve_unique(columns, b):
-    """Solve A x = b where A is given by its columns.
-
-    Returns a tuple of Fractions when the system is consistent, None when
-    inconsistent.  Raises ValueError when the columns are linearly
-    dependent (so a consistent system would not pin x down).  D x is the
-    null vector of [A | b] that is -D on its last column.
-    """
-    ncols = len(columns)
-    aug, _ = _int_rows([[col[i] for col in columns] + [x]
-                        for i, x in enumerate(b)])
-    red, pivots, d = _echelon(aug)
-    if ncols in pivots:
-        return None
-    if len(pivots) != ncols:
-        raise ValueError("columns are linearly dependent")
-    x = _null_vector(red, pivots, ncols + 1, ncols, -d)
-    return tuple(Fraction(y, d) for y in x[:ncols])
 
 
 @cache
@@ -157,31 +69,84 @@ def extend_minors(minors, row, k):
                   for terms in _laplace(len(row), k)])
 
 
-def hyperplane_normal(points, minors=None):
-    """Primitive normal of the affine hyperplane through d points of R^d,
-    or None when they span no hyperplane.
+def _independent(rows):
+    """(kept, minors): the rows that are independent of the rows kept
+    before them, in order, and the minors of the kept rows, one per subset
+    of as many columns in the order of combinations.  A row is kept when
+    some minor extended by it is not 0."""
+    kept, minors = [], (1,)
+    for row in rows:
+        m = extend_minors(minors, row, len(kept) + 1)
+        if any(m):
+            kept.append(row)
+            minors = m
+    return kept, minors
+
+
+def _pivots(kept, minors):
+    """The first column subset, in the order of combinations, whose minor
+    on the kept rows is not 0: the pivot columns of the rows they were
+    kept from, since those are the greedy basis of the columns, which is
+    the least basis in that order."""
+    width = len(kept[0]) if kept else 0
+    return next(s for s, m in zip(combinations(range(width), len(kept)),
+                                  minors) if m)
+
+
+def pivot_columns(rows):
+    """Pivot columns of the row echelon form of rows."""
+    return list(_pivots(*_independent(_int_rows(rows)[0])))
+
+
+def rank(rows):
+    return len(_independent(_int_rows(rows)[0])[0])
+
+
+def det(rows):
+    """Exact determinant: an int for integer rows, a Fraction otherwise."""
+    m, den = _int_rows(rows)
+    kept, minors = _independent(m)
+    d = minors[0] if len(kept) == len(m) else 0
+    return d if den == 1 else Fraction(d, den ** len(m))
+
+
+def solve_unique(columns, b):
+    """Solve A x = b where A is given by its columns.
+
+    Returns a tuple of Fractions when the system is consistent, None when
+    inconsistent.  Raises ValueError when the columns are linearly
+    dependent (so a consistent system would not pin x down).  Otherwise
+    the kept rows of [A | b] have the cofactor vector n as their null
+    vector, and x = -n[:-1] / n[-1] by Cramer's rule.
+    """
+    ncols = len(columns)
+    kept, minors = _independent(_int_rows(
+        [[col[i] for col in columns] + [x] for i, x in enumerate(b)])[0])
+    pivots = _pivots(kept, minors)
+    if ncols in pivots:
+        return None
+    if len(pivots) != ncols:
+        raise ValueError("columns are linearly dependent")
+    n = [m if i % 2 == 0 else -m for i, m in enumerate(reversed(minors))]
+    return tuple(Fraction(-y, n[-1]) for y in n[:-1])
+
+
+def hyperplane_normal(points, minors):
+    """Primitive normal of the affine hyperplane through d integer points
+    of R^d, or None when they span no hyperplane.
 
     The normal is the cofactor vector of the d - 1 difference rows
     p - points[0] (entry i being (-1)^i times the minor without column i),
     divided by its gcd and signed so that its last nonzero entry is
     positive; the points span a hyperplane exactly when it is not zero.
-    minors, when given, are the extend_minors of the first d - 2 rows of
-    integer points, so only the last row is expanded; otherwise every row
-    is, rows with Fraction entries being scaled to integer ones first.
+    minors are the extend_minors of the first d - 2 rows, so only the last
+    row is expanded.
     """
     p0 = points[0]
     d = len(p0)
     if d == 1:
         return (1,)
-    if minors is None:
-        rows, _ = _int_rows([[x - y for x, y in zip(p, p0)]
-                             for p in points[1:]])
-        minors = (1,)
-        for k, row in enumerate(rows[:-1], 1):
-            minors = extend_minors(minors, row, k)
-        last = rows[-1]
-    else:
-        last = [x - y for x, y in zip(points[-1], p0)]
+    last = [x - y for x, y in zip(points[-1], p0)]
     n = [sum([s * last[c] * minors[j] for c, j, s in terms])
          for terms in _cofactors(d)]
     g = gcd(*n)

@@ -230,8 +230,8 @@ def _walk(variety, flag, r, closure):
     Each sample reads the fibres of krP from the variety's fibre store
     (PolarizedToricVariety.dilate_fibres), so krP is enumerated once per
     variety, whichever walk, record or r asks for it first, and all three
-    counts are fed from that one list; #krP is counted once and handed to
-    each _weight call, and only the integers are kept.  W reads one
+    counts are fed from that one list; #krP is read once from
+    ehrhart_count and handed to each _weight call, and only the integers are kept.  W reads one
     LevelStepper, so the level tables of J^k are stepped from those of
     J^(k-1) on the charts that can hold a point's level; a trivial flag has
     no stepper and weighs 0.  The closure weight is counted only when
@@ -241,7 +241,7 @@ def _walk(variety, flag, r, closure):
 
     def sample(k):
         fib = variety.dilate_fibres(k * r)
-        count = sum(hi - lo + 1 for _, lo, hi in fib)
+        count = variety.ehrhart_count(k * r)
         return (count,
                 _weight(stepper.advance(k), k * r, fib, count)
                 if stepper else 0,

@@ -1,7 +1,6 @@
-"""Tests for the integer elimination behind every determinant, rank and
-solve, and for the cofactor expansion behind every hyperplane normal,
-against the Fraction row reduction and Gaussian determinant they replaced
-(kept in tests/oracles.py)."""
+"""Tests for the cofactor minors behind every determinant, rank, pivot
+set, solve and hyperplane normal, against the Fraction row reduction and
+Gaussian determinant of tests/oracles.py."""
 
 from fractions import Fraction
 from math import lcm
@@ -51,22 +50,19 @@ def point_tuples(draw):
 @example(([(0, 0, 0), (1, 1, 1), (2, 2, 2)], True))
 def test_hyperplane_normal_matches_fraction_nullspace(case):
     pts, dependent = case
-    normal = hyperplane_normal(pts)
+    # scaled to integer points, whose first d - 2 difference rows are
+    # expanded ahead, as the facet search passes them
+    den = lcm(*(Fraction(x).denominator for p in pts for x in p))
+    ints = [tuple(int(x * den) for x in p) for p in pts]
+    minors = (1,)
+    for k, p in enumerate(ints[1:-1], 1):
+        minors = extend_minors(minors, [x - y for x, y in zip(p, ints[0])], k)
+    normal = hyperplane_normal(ints, minors)
     assert normal == oracles.hyperplane_normal(pts)
     if dependent:
         assert normal is None
     if normal is not None:
         assert all(type(x) is int for x in normal)
-    if len(pts) > 1:
-        # scaled to integer points, whose first d - 2 difference rows are
-        # expanded ahead, as the facet search passes them
-        den = lcm(*(Fraction(x).denominator for p in pts for x in p))
-        ints = [tuple(int(x * den) for x in p) for p in pts]
-        minors = (1,)
-        for k, p in enumerate(ints[1:-1], 1):
-            minors = extend_minors(
-                minors, [x - y for x, y in zip(p, ints[0])], k)
-        assert hyperplane_normal(ints, minors) == normal
 
 
 @st.composite
@@ -92,6 +88,7 @@ def matrices(draw, square=False):
 @given(matrices())
 @example([[0, 2, 4], [0, 1, 2], [1, 0, 0]])
 @example([[Fraction(1, 3), Fraction(2, 3)], [1, 2]])
+@example([[0, 0], [0, 0]])
 def test_pivot_columns_match_fraction_rref(rows):
     pivots = oracles.rref(rows)[1]
     assert pivot_columns(rows) == pivots
@@ -145,6 +142,8 @@ def systems(draw):
 @example(([[1, 0, 1], [0, 2, 2]], [1, 4, 6]))
 # dependent columns
 @example(([[1, 2], [2, 4]], [3, 6]))
+# dependent columns, inconsistent: None comes before the ValueError
+@example(([[1, 2], [2, 4]], [3, 7]))
 # square, with Fraction entries
 @example(([[Fraction(1, 2), 1], [Fraction(1, 3), Fraction(-3, 4)]],
           [Fraction(2, 3), 1]))
