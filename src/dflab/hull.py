@@ -155,8 +155,6 @@ def point_in_convex_hull(q, points):
         for sub in combinations(points, m):
             p0 = sub[0]
             cols = [[x - y for x, y in zip(p, p0)] for p in sub[1:]]
-            if rank(cols) != m - 1:
-                continue
             target = [x - y for x, y in zip(q, p0)]
             try:
                 sol = solve_unique(cols, target)

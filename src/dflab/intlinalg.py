@@ -161,17 +161,26 @@ def hyperplane_normal(points, minors):
 
 
 def integer_inverse(rows):
-    """Inverse of an integer matrix with determinant +-1, as integer rows."""
+    """Inverse of an integer matrix with determinant +-1, as integer rows.
+
+    Column i of the adjugate is (-1)^i times the cofactor vector of the
+    rows other than i (entry j being (-1)^j times their minor without
+    column j), and the inverse is the adjugate over det, that is times
+    det.  The minors of the rows before i are expanded once and extended
+    both by row i, toward det, and by the rows after it, toward that
+    cofactor vector."""
     n = len(rows)
-    cols = [[rows[i][j] for i in range(n)] for j in range(n)]
-    out = []
+    prefix, columns = (1,), []
     for i in range(n):
-        e = [1 if k == i else 0 for k in range(n)]
-        sol = solve_unique(cols, e)
-        if sol is None:
-            raise ValueError("matrix is singular")
-        if any(x.denominator != 1 for x in sol):
-            raise ValueError("matrix is not unimodular")
-        out.append([int(x) for x in sol])
-    # solving A x = e_i yields column i of the inverse
-    return tuple(tuple(out[j][i] for j in range(n)) for i in range(n))
+        minors = prefix
+        for k, row in enumerate(rows[i + 1:], i + 1):
+            minors = extend_minors(minors, row, k)
+        columns.append([m if (i + j) % 2 == 0 else -m
+                        for j, m in enumerate(reversed(minors))])
+        prefix = extend_minors(prefix, rows[i], i + 1)
+    d = prefix[0]
+    if d == 0:
+        raise ValueError("matrix is singular")
+    if d not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(d * col[j] for col in columns) for j in range(n))

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from math import prod
 
 from .errors import (
     InconsistentVertices,
@@ -128,28 +129,39 @@ def fibres(poly, k):
     """The lattice points of kP as fibres (p, lo, hi) over the prefixes p of
     their first n-1 coordinates: the points are p + (x,) for lo <= x <= hi.
 
-    The box over the first n-1 coordinates is walked in lexicographic
-    order; over each prefix p, a facet <a, u> >= k c bounds the last
-    coordinate by a_n u_n >= k c - <a', p>, from below when a_n > 0 and
-    from above when a_n < 0, and passes or empties the fibre when a_n = 0.
-    Empty fibres are left out, so the list runs through kP in lexicographic
-    order.
+    The prefixes run through the box over the first n-1 coordinates in
+    lexicographic order, and the bounds are columns over that grid.  For
+    each facet <a, u> >= k c, the column of <a', p> - k c over the prefixes
+    is built one axis at a time; the facet bounds the last coordinate by
+    a_n u_n >= k c - <a', p>, from below when a_n > 0 and from above when
+    a_n < 0, and passes or empties the fibre when a_n = 0.  The lo and hi
+    columns fold these bounds by elementwise maximum and minimum, an
+    emptied fibre getting a hi below every lo.  Empty fibres are left out,
+    so the list runs through kP in lexicographic order.
     """
     lows = [min(v[i] for v in poly.vertices) * k for i in range(poly.dim)]
     highs = [max(v[i] for v in poly.vertices) * k for i in range(poly.dim)]
-    below = [(a[:-1], k * c, a[-1]) for a, c in poly.facets if a[-1] > 0]
-    above = [(a[:-1], k * c, a[-1]) for a, c in poly.facets if a[-1] < 0]
-    flat = [(a[:-1], k * c) for a, c in poly.facets if a[-1] == 0]
-    out = []
-    for p in product(*map(range, lows[:-1], [h + 1 for h in highs[:-1]])):
-        if any(dot(a, p) < c for a, c in flat):
-            continue
-        # ceil(m / t) == -(-m // t) for t > 0; floor(m / t) == m // t
-        lo = max([lows[-1]] + [-((dot(a, p) - c) // t) for a, c, t in below])
-        hi = min([highs[-1]] + [(c - dot(a, p)) // t for a, c, t in above])
-        if lo <= hi:
-            out.append((p, lo, hi))
-    return out
+    axes = [range(lo, hi + 1) for lo, hi in zip(lows[:-1], highs[:-1])]
+    size = prod(map(len, axes))
+    los, his = [lows[-1]] * size, [highs[-1]] * size
+    for a, c in poly.facets:
+        col = [-k * c]
+        for ai, axis in zip(a, axes):
+            steps = [ai * x for x in axis]
+            col = [v + s for v in col for s in steps]
+        t = a[-1]
+        # ceil(m / t) == -(-m // t) for t > 0; floor(m / t) == m // t,
+        # here with m = -v
+        if t > 0:
+            los = [x if x >= (y := -(v // t)) else y
+                   for x, v in zip(los, col)]
+        elif t < 0:
+            his = [x if x <= (y := -v // t) else y
+                   for x, v in zip(his, col)]
+        else:
+            his = [x if v >= 0 else lows[-1] - 1 for x, v in zip(his, col)]
+    return [(p, lo, hi) for p, lo, hi in zip(product(*axes), los, his)
+            if lo <= hi]
 
 
 def _intersection_numbers(poly):

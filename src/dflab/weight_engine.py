@@ -182,15 +182,21 @@ def _weight(tables, scale, fib, count):
     b + a * x for lo <= x <= hi, with a = A[-1] and b = <A', p> - scale *
     C, so the table's levels along the fibre are its slice with step a:
     read backwards and reversed when a < 0, one cell repeated when a = 0.
-    Each point's level is the largest over the tables.  A slice past the
-    end of a table comes back short, so a table that does not cover krP
-    raises ConsistencyError."""
+    The prefixes p are transposed once, and each table's offsets b are one
+    column over the fibres, built one prefix axis at a time.  Each point's
+    level is the largest over the tables.  A slice past the end of a table
+    comes back short, so a table that does not cover krP raises
+    ConsistencyError."""
+    prefixes, los, his = zip(*fib)
+    axes = tuple(zip(*prefixes))
     levels = None
     for weights, c, table in tables:
-        head, a = weights[:-1], weights[-1]
+        offsets = [-scale * c] * len(fib)
+        for h, axis in zip(weights, axes):
+            offsets = [b + h * x for b, x in zip(offsets, axis)]
+        a = weights[-1]
         col = []
-        for p, lo, hi in fib:
-            b = dot(head, p) - scale * c
+        for b, lo, hi in zip(offsets, los, his):
             if a > 0:
                 col += table[b + a * lo:b + a * hi + 1:a]
             elif a < 0:

@@ -253,6 +253,16 @@ def test_integer_inverse_round_trip(u):
         [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 2], [2, 4]], "singular"),
+    ([[2, 0], [0, 1]], "not unimodular"),
+])
+def test_integer_inverse_rejects_a_matrix_of_determinant_not_one(
+        rows, message):
+    with pytest.raises(ValueError, match=message):
+        integer_inverse(rows)
+
+
 @st.composite
 def moved_hyperplanes(draw):
     """(points, normal, moved points, moved normal): lattice points on the

@@ -185,6 +185,8 @@ def test_flat_facet_examples_have_a_flat_facet():
 # but bounds the last coordinate from below and from above and has no
 # lattice point over the prefixes 0 and 1.
 EMPTY_FIBRE = [(-2, 1), (-1, 1), (2, 0)]
+# box (1, 1, 1, 1): its prefixes run over three axes
+BOX_4 = list(product((0, 1), repeat=4))
 
 
 @settings(max_examples=80, deadline=None)
@@ -193,6 +195,7 @@ EMPTY_FIBRE = [(-2, 1), (-1, 1), (2, 0)]
 @example(FLAT_FACETS[1])
 @example(FLAT_FACETS[2])
 @example(EMPTY_FIBRE)
+@example(BOX_4)
 def test_fibres_match_the_prefix_walk(points):
     v = variety_of(points)
     assume(v is not None)

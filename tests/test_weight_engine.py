@@ -245,12 +245,16 @@ def test_weight_pins_on_the_line():
 # past the chart box at small k * r.
 
 # each has its chart at the origin with the identity frame, so the chart
-# exponents of a lattice point are the point itself
+# exponents of a lattice point are the point itself.  P^1 x P^2 is not
+# symmetric in its first two coordinates, so a level table offset that
+# swaps the two prefix axes of its fibres changes its weight
 CHART_VARIETIES = [
     projective_space(1, 1),
     projective_space(2, 2),
     box((1, 2)),
     projective_space(3, 1),
+    make_variety([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0),
+                  (1, 0, 1)], (0, 0, 0)),
 ]
 F1 = hirzebruch_anticanonical()
 # cox exponents and maximal charts of F1, in dflab's facet order
