@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import compress
 from math import prod
 
 from .errors import (
@@ -50,19 +50,19 @@ class PolarizedToricVariety:
 
     @cached_property
     def _fibre_store(self):
-        """The fibre store: {k: fibres of kP} for each scale k asked of
+        """The fibre store: {k: Fibres of kP} for each scale k asked of
         dilate_fibres, built on first use and kept with the variety."""
         return {}
 
     def dilate_fibres(self, k):
         """fibres(self.polytope, k), enumerated on the first call for k and
-        read from the fibre store after that.  The list is shared by every
-        caller and is not to be modified.
+        read from the fibre store after that.  The columns are shared by
+        every caller and are not to be modified.
 
         The store holds only the scales asked for: a fit samples k r for
         k up to its cap, so a search over r_list keeps at most
-        cap * max(r_list) lists, and every record and every r that meets
-        the same scale reads one list.  A search with workers > 1 pickles
+        cap * max(r_list) scales, and every record and every r that meets
+        the same scale reads one entry.  A search with workers > 1 pickles
         the variety into each task, so each task unpickles its own variety
         and store, and the sharing is per task.
         """
@@ -74,11 +74,13 @@ class PolarizedToricVariety:
     def lattice_points(self, k):
         """All lattice points of the dilate kP, in sorted (lexicographic)
         order, read off its fibres."""
-        return [p + (x,) for p, lo, hi in self.dilate_fibres(k)
+        fib = self.dilate_fibres(k)
+        prefixes = zip(*fib.axes) if fib.axes else [()] * len(fib.los)
+        return [p + (x,) for p, lo, hi in zip(prefixes, fib.los, fib.his)
                 for x in range(lo, hi + 1)]
 
     def ehrhart_count(self, k):
-        return sum(hi - lo + 1 for _, lo, hi in self.dilate_fibres(k))
+        return self.dilate_fibres(k).count
 
     def intersection_numbers(self):
         """(L^n, L^(n-1).K) for the polarization L and canonical divisor K."""
@@ -125,9 +127,23 @@ class PolarizedToricVariety:
         return tuple(normals.index(row) for row in self.chart_matrix)
 
 
+@dataclass(frozen=True)
+class Fibres:
+    """The lattice points of a dilate kP as columns over its fibres: the
+    points are p + (x,) for lo <= x <= hi, over the fibres' prefixes p of
+    their first n-1 coordinates, in lexicographic order.  axes holds one
+    column per prefix axis (none when n = 1, where the one fibre has the
+    empty prefix), los and his the bounds, and count the number of points.
+    """
+
+    axes: tuple    # axes[i][f] is coordinate i of fibre f's prefix
+    los: list
+    his: list
+    count: int
+
+
 def fibres(poly, k):
-    """The lattice points of kP as fibres (p, lo, hi) over the prefixes p of
-    their first n-1 coordinates: the points are p + (x,) for lo <= x <= hi.
+    """The lattice points of kP as Fibres, with no empty fibre.
 
     The prefixes run through the box over the first n-1 coordinates in
     lexicographic order, and the bounds are columns over that grid.  For
@@ -136,8 +152,8 @@ def fibres(poly, k):
     a_n u_n >= k c - <a', p>, from below when a_n > 0 and from above when
     a_n < 0, and passes or empties the fibre when a_n = 0.  The lo and hi
     columns fold these bounds by elementwise maximum and minimum, an
-    emptied fibre getting a hi below every lo.  Empty fibres are left out,
-    so the list runs through kP in lexicographic order.
+    emptied fibre getting a hi below every lo.  Empty fibres are left out
+    of every column, so the fibres run through kP in lexicographic order.
     """
     lows = [min(v[i] for v in poly.vertices) * k for i in range(poly.dim)]
     highs = [max(v[i] for v in poly.vertices) * k for i in range(poly.dim)]
@@ -160,8 +176,18 @@ def fibres(poly, k):
                    for x, v in zip(his, col)]
         else:
             his = [x if v >= 0 else lows[-1] - 1 for x, v in zip(his, col)]
-    return [(p, lo, hi) for p, lo, hi in zip(product(*axes), los, his)
-            if lo <= hi]
+    keep = [lo <= hi for lo, hi in zip(los, his)]
+    # axis i's column over the grid repeats each coordinate once per
+    # prefix of the later axes, and that run once per prefix of the earlier
+    cols = []
+    inner = size
+    for axis in axes:
+        inner //= len(axis)
+        col = [x for x in axis for _ in range(inner)] \
+            * (size // inner // len(axis))
+        cols.append(list(compress(col, keep)))
+    los, his = list(compress(los, keep)), list(compress(his, keep))
+    return Fibres(tuple(cols), los, his, sum(his) - sum(los) + len(los))
 
 
 def _intersection_numbers(poly):

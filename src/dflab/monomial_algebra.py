@@ -271,12 +271,13 @@ class LevelStepper:
 
         t_k(y) = min(t_(k-1)(y) + N, min over (g, j) of t_(k-1)(y - g) + j)
 
-    with t_0 = 0, each generator term one shifted row-wise min over the
-    flat table.  With D_i the largest projected generator exponent on axis
-    i (0 with no moves), every generator of J^k is at most k * D on the
-    chart, so t_k is constant along axis i past k * D_i: J^k is stepped on
-    the box of side k * D_i, padding J^(k-1)'s table by its last cell on
-    each axis is exact, and advance pads J^k's table the same way to the
+    with t_0 = 0, each generator term one shifted elementwise min over the
+    whole flat table, with the cells it reads across a row put back (see
+    step).  With D_i the largest projected generator exponent on axis i (0
+    with no moves), every generator of J^k is at most k * D on the chart,
+    so t_k is constant along axis i past k * D_i: J^k is stepped on the box
+    of side k * D_i, padding J^(k-1)'s table by its last cell on each axis
+    is exact, and advance pads J^k's table the same way to the
     box of side k * e_i that krP reads, e_i = max(D_i, r * w_i) with w_i
     the chart functional's reach over the vertices.
 
@@ -314,19 +315,23 @@ class LevelStepper:
             shape = [self.k * e + 1 for e in ch.side]
             old = _pad(ch.table, ch.shape, shape)
             strides = _strides(shape)
-            last = shape[-1]
             new = [x + self.big_n for x in old]
             for g, j in ch.moves:
                 off = dot(strides, g)
-                # the rows whose cells y have y >= g off the last axis
-                rows = [0]
-                for x, m, stride in zip(g, shape[:-1], strides):
-                    rows = [row + stride * i for row in rows
-                            for i in range(x, m)]
-                for row in rows:
-                    lo, hi = row + g[-1], row + last
-                    new[lo:hi] = [x if x <= y + j else y + j for x, y in
-                                  zip(new[lo:hi], old[lo - off:hi - off])]
+                # a cell y >= g sits at p >= off, and p - off is the index
+                # of y - g, so one pass over new[off:] against the start of
+                # old (zip stops at its end) covers every such cell.  The
+                # other cells at p >= off have y_i < g_i on some axis
+                # i >= 1, where p mod strides[i - 1] < g_i * strides[i];
+                # they are kept aside by slices of step strides[i - 1] and
+                # put back after the pass
+                kept = [(c, step, new[c::step])
+                        for step, x, stride in zip(strides, g[1:], strides[1:])
+                        for c in range(x * stride)]
+                new[off:] = [x if x <= y + j else y + j
+                             for x, y in zip(new[off:], old)]
+                for c, step, cells in kept:
+                    new[c::step] = cells
             ch.shape, ch.table = shape, new
 
     def advance(self, k):

@@ -172,41 +172,39 @@ def weight_at(variety, flag, r, k):
     return weight_sequence(variety, flag, r, (k,))[k]
 
 
-def _weight(tables, scale, fib, count):
-    """Minus the total level over krP, on its fibres (p, lo, hi), scale =
-    k * r, from level tables (A, C, table): the chart tables of J^k, or the
-    closure tables of _closure_tables.  count is #krP, the points of the
-    fibres, which the caller has counted already.  No table weighs 0.
+def _weight(tables, scale, fib):
+    """Minus the total level over krP, on its Fibres fib, scale = k * r,
+    from level tables (A, C, table): the chart tables of J^k, or the
+    closure tables of _closure_tables.  No table weighs 0.
 
     Over a fibre the flat index <A, u> - scale * C of a table is
     b + a * x for lo <= x <= hi, with a = A[-1] and b = <A', p> - scale *
     C, so the table's levels along the fibre are its slice with step a:
     read backwards and reversed when a < 0, one cell repeated when a = 0.
-    The prefixes p are transposed once, and each table's offsets b are one
-    column over the fibres, built one prefix axis at a time.  Each point's
-    level is the largest over the tables.  A slice past the end of a table
-    comes back short, so a table that does not cover krP raises
+    Each table's offsets b are one column over the fibres, built from the
+    prefix axis columns.  Each point's level is the largest over the
+    tables.  A slice past the end of a table comes back short, so a table
+    that does not cover the fib.count points of krP raises
     ConsistencyError."""
-    prefixes, los, his = zip(*fib)
-    axes = tuple(zip(*prefixes))
     levels = None
     for weights, c, table in tables:
-        offsets = [-scale * c] * len(fib)
-        for h, axis in zip(weights, axes):
-            offsets = [b + h * x for b, x in zip(offsets, axis)]
+        offsets = [-scale * c] * len(fib.los)
+        for h, axis in zip(weights, fib.axes):
+            if h:
+                offsets = [b + h * x for b, x in zip(offsets, axis)]
         a = weights[-1]
         col = []
-        for b, lo, hi in zip(offsets, los, his):
+        for b, lo, hi in zip(offsets, fib.los, fib.his):
             if a > 0:
                 col += table[b + a * lo:b + a * hi + 1:a]
             elif a < 0:
                 col += table[b + a * hi:b + a * lo + 1:-a][::-1]
             else:
                 col += [table[b]] * (hi - lo + 1)
-        if len(col) != count:
+        if len(col) != fib.count:
             raise ConsistencyError(
                 "level table %r covers %d of the %d points of the dilate %d"
-                % (weights, len(col), count, scale))
+                % (weights, len(col), fib.count, scale))
         levels = col if levels is None else \
             [x if x >= y else y for x, y in zip(levels, col)]
     return -sum(levels) if levels else 0
@@ -233,26 +231,25 @@ def _walk(variety, flag, r, closure):
     """sample(k) -> (h(k), W(k), the closure weight or None), for k
     increasing across calls.
 
-    Each sample reads the fibres of krP from the variety's fibre store
+    Each sample reads the Fibres of krP from the variety's fibre store
     (PolarizedToricVariety.dilate_fibres), so krP is enumerated once per
     variety, whichever walk, record or r asks for it first, and all three
-    counts are fed from that one list; #krP is read once from
-    ehrhart_count and handed to each _weight call, and only the integers are kept.  W reads one
-    LevelStepper, so the level tables of J^k are stepped from those of
-    J^(k-1) on the charts that can hold a point's level; a trivial flag has
-    no stepper and weighs 0.  The closure weight is counted only when
-    closure is set, by the same _weight from _closure_tables.
+    counts are fed from that one entry, h(k) being its stored count; only
+    the integers are kept.  W reads one LevelStepper, so the level tables
+    of J^k are stepped from those of J^(k-1) on the charts that can hold a
+    point's level; a trivial flag has no stepper and weighs 0.  The closure
+    weight is counted only when closure is set, by the same _weight from
+    _closure_tables, whose facet data is built once for the walk.
     """
     stepper = None if flag.trivial else LevelStepper(variety, flag, r)
+    facets = _closure_facets(variety, flag, r) if closure else None
 
     def sample(k):
         fib = variety.dilate_fibres(k * r)
-        count = variety.ehrhart_count(k * r)
-        return (count,
-                _weight(stepper.advance(k), k * r, fib, count)
-                if stepper else 0,
-                _weight(_closure_tables(variety, flag, r, k), k * r, fib,
-                        count) if closure else None)
+        return (fib.count,
+                _weight(stepper.advance(k), k * r, fib) if stepper else 0,
+                _weight(_closure_tables(facets, r, k), k * r, fib)
+                if closure else None)
 
     return sample
 
@@ -268,34 +265,46 @@ def closure_weight_at(variety, flag, r, k):
     per-point reference.  A negative k raises InvalidInput.
     """
     _check_k(k)
-    return _weight(_closure_tables(variety, flag, r, k), k * r,
-                   variety.dilate_fibres(k * r), variety.ehrhart_count(k * r))
+    return _weight(_closure_tables(_closure_facets(variety, flag, r), r, k),
+                   k * r, variety.dilate_fibres(k * r))
 
 
-def _closure_tables(variety, flag, r, k):
-    """The closure levels of krP as level tables (a, c, table) for _weight
-    at scale k * r, one per compact facet of the Newton polyhedron.
+def _closure_facets(variety, flag, r):
+    """Per compact facet f of the Newton polyhedron, (a, lo, hi, e, t):
+    what _closure_tables needs of f at every k, built once per walk.
 
     With y the chart coordinates of u, k * phi(y / k) = max(0, max_f
     (k * order_f - <w_f, y>) / t_f) over the compact facets f, whose
-    normals (w_f, t_f) are strictly positive, so t_f > 0.  The ceiling of
-    a maximum is the maximum of the ceilings.  Folding the chart map
-    y = U (u - k r v0) into the facet functional, a = U^T w_f and
-    e = order_f + r <a, v0>, the facet's level max(0, ceil((k e - s) / t_f))
-    depends on u only through s = <a, u>, which runs over k r min_v <a, v>
-    .. k r max_v <a, v>, v over the vertices of P.  So the table is indexed
-    by s - k r c with c = min_v <a, v>, as _weight reads a chart table.
+    normals (w_f, t_f) are strictly positive, so t = t_f > 0.  Folding the
+    chart map y = U (u - k r v0) into the facet functional, a = U^T w_f and
+    e = order_f + r <a, v0>, the facet's level max(0, ceil((k e - s) / t))
+    depends on u only through s = <a, u>, which runs over k r lo .. k r hi,
+    lo and hi the least and largest <a, v> over the vertices v of P.
     """
     cols = tuple(zip(*variety.chart_matrix))
-    tables = []
+    out = []
     for f in flag.polyhedron.facets:
         w, t = f.normal[:-1], f.normal[-1]
         assert t > 0
         a = tuple(dot(w, col) for col in cols)
         ends = [dot(a, v) for v in variety.polytope.vertices]
-        lo, hi = min(ends), max(ends)
+        out.append((a, min(ends), max(ends),
+                    f.order + r * dot(a, variety.chart_vertex), t))
+    return out
+
+
+def _closure_tables(facets, r, k):
+    """The closure levels of krP as level tables (a, lo, table) for _weight
+    at scale k * r, one per entry (a, lo, hi, e, t) of _closure_facets.
+
+    The ceiling of a maximum is the maximum of the ceilings, so each facet
+    gives one table, indexed by s - k r lo as _weight reads a chart table,
+    of its levels max(0, ceil((k e - s) / t)).
+    """
+    tables = []
+    for a, lo, hi, e, t in facets:
         # ceil(m / t) == (m + t - 1) // t for t > 0
-        top = k * (f.order + r * dot(a, variety.chart_vertex)) + t - 1
+        top = k * e + t - 1
         tables.append((a, lo, [max(0, (top - s) // t)
                                for s in range(k * r * lo, k * r * hi + 1)]))
     return tables

@@ -25,6 +25,7 @@ from dflab.errors import as_integer
 from dflab.hull import extreme_points, volume_of_points
 from dflab.intlinalg import dot
 from dflab.lattice_geometry import (
+    Fibres,
     _intersection_numbers,
     fibres,
 )
@@ -179,11 +180,11 @@ def test_flat_facet_examples_have_a_flat_facet():
         assert any(a[-1] == 0 for a, c in poly.facets)
 
 
-# fibres lists kP as (prefix, lo, hi) with no empty fibre; expanded, it must
-# be the prefix walk of oracles.prefix_walk_points, order included.  The
-# FLAT_FACETS have facets with last normal entry 0; the triangle has none,
-# but bounds the last coordinate from below and from above and has no
-# lattice point over the prefixes 0 and 1.
+# fibres lists kP as columns of prefixes, lo and hi with no empty fibre;
+# expanded, it must be the prefix walk of oracles.prefix_walk_points, order
+# included.  The FLAT_FACETS have facets with last normal entry 0; the
+# triangle has none, but bounds the last coordinate from below and from
+# above and has no lattice point over the prefixes 0 and 1.
 EMPTY_FIBRE = [(-2, 1), (-1, 1), (2, 0)]
 # box (1, 1, 1, 1): its prefixes run over three axes
 BOX_4 = list(product((0, 1), repeat=4))
@@ -201,7 +202,8 @@ def test_fibres_match_the_prefix_walk(points):
     assume(v is not None)
     for k in range(5):
         want = oracles.prefix_walk_points(v.polytope, k)
-        assert all(lo <= hi for _, lo, hi in fibres(v.polytope, k))
+        fib = fibres(v.polytope, k)
+        assert all(lo <= hi for lo, hi in zip(fib.los, fib.his))
         # lattice_points expands the fibres
         assert v.lattice_points(k) == want
         assert v.ehrhart_count(k) == len(want)
@@ -213,7 +215,7 @@ def test_empty_fibre_example_skips_a_prefix():
     assert signs == {-1, 1}
     # over x = 0 and x = 1 the triangle runs from y = (2 - x) / 4 to
     # (2 - x) / 3, past no integer
-    assert fibres(poly, 1) == [((-2,), 1, 1), ((-1,), 1, 1), ((2,), 0, 0)]
+    assert fibres(poly, 1) == Fibres(([-2, -1, 2],), [1, 1, 0], [1, 1, 0], 3)
 
 
 def test_lattice_points_leave_no_reference_cycles():

@@ -347,8 +347,8 @@ def test_cox_search_covers_divisor_ideals():
 
 def test_cox_search_enumerates_each_scale_once(monkeypatch):
     # the 44-record cox search on F1 (criterion 9) reads krP at 448
-    # samples over 32 distinct scales, each sample reading the store twice,
-    # for the fibres and for ehrhart_count; every record shares the
+    # samples over 32 distinct scales, each sample reading the store once,
+    # for the fibres and their stored count; every record shares the
     # search's variety, whose fibre store enumerates each scale once
     v = hirzebruch_anticanonical()
     bounds = SearchBounds(n_max=2, d_max=2, g_max=1, r_list=(1,), mode="cox")
@@ -370,7 +370,7 @@ def test_cox_search_enumerates_each_scale_once(monkeypatch):
                         counted_read)
     report = search_destabilizers(v, bounds)
     assert report.total == 44
-    assert len(reads) == 2 * 448
+    assert len(reads) == 448
     assert sorted(enumerated) == sorted(set(reads))
     assert len(enumerated) == 32
 

@@ -1,5 +1,6 @@
 """Tests for the weight counting pipeline: fitting, pins, identities."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil, prod
 
@@ -265,11 +266,6 @@ F1_CHARTS = tuple(
     for v in F1.polytope.vertices)
 
 
-def point_count(fib):
-    """#krP from its fibres, the count _weight is handed."""
-    return sum(hi - lo + 1 for _, lo, hi in fib)
-
-
 def reference_weight(variety, flag, r, k):
     if flag.trivial:
         return 0
@@ -360,7 +356,7 @@ def test_stepped_tables_match_t_degree_sum(case, r, start):
         tables = stepper.advance(k)
         assert stepper.k == k
         fib = fibres(variety.polytope, k * r)
-        assert we._weight(tables, k * r, fib, point_count(fib)) \
+        assert we._weight(tables, k * r, fib) \
             == reference_weight(variety, flag, r, k)
 
 
@@ -404,11 +400,24 @@ def assert_kept_tables_read_the_full_box(variety, flag, r, k, stepper,
         [max(col) for col in zip(*(levels for _, levels in charts))]
 
 
+# step makes one flat pass per move and puts back the cells that read
+# across a row, those with y_i < g_i on an axis i >= 1: on a 3-fold the
+# move xyz has a put-back on the middle axis as well as on the last, and
+# on the 4-fold box on two middle axes
+SQUARES_AND_XYZ = flag_of([[(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)]], 3)
+BOX_4 = box((1, 1, 1, 1))
+SQUARES_AND_XYZW = flag_of(
+    [[(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (1, 1, 1, 1)]],
+    4)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(chart_flags(), cox_flags().map(lambda flag: (F1, flag)),
                  st.just((F1, PAST_THE_BOX))),
        st.integers(1, 2), st.integers(1, 3))
 @example((F1, PAST_THE_BOX), 1, 3)
+# P^1 x P^2
+@example((CHART_VARIETIES[4], SQUARES_AND_XYZ), 1, 1)
 def test_advance_matches_full_box_stepping(case, r, start):
     variety, flag = case
     assume(not flag.trivial)
@@ -416,6 +425,13 @@ def test_advance_matches_full_box_stepping(case, r, start):
     for k in range(start, 7):
         assert_kept_tables_read_the_full_box(
             variety, flag, r, k, stepper, stepper.advance(k))
+
+
+def test_advance_matches_full_box_stepping_on_a_4_fold():
+    stepper = LevelStepper(BOX_4, SQUARES_AND_XYZW, 1)
+    for k in range(1, 4):
+        assert_kept_tables_read_the_full_box(
+            BOX_4, SQUARES_AND_XYZW, 1, k, stepper, stepper.advance(k))
 
 
 def test_stepped_tables_hold_the_moves_box():
@@ -547,12 +563,11 @@ def test_constant_tables_weigh_as_padded_ones(flag, r, k, cells, constant):
     if constant:
         tables = [t for t in tables if len(t[2]) == 1]
     fib = fibres(F1.polytope, k * r)
-    count = point_count(fib)
-    got = we._weight(tables, k * r, fib, count)
+    got = we._weight(tables, k * r, fib)
     assert got == we._weight(padded_to_read_box(stepper, tables, k), k * r,
-                             fib, count)
+                             fib)
     if constant:
-        assert got == -max([0] + [t[0] for _, _, t in tables]) * count
+        assert got == -max([0] + [t[0] for _, _, t in tables]) * fib.count
 
 
 # the square of the cox variable of the facet x = 0: the kept chart's one
@@ -579,8 +594,7 @@ def test_f1_cox_tables_read_fibres_backwards():
                                                  tables)
             for k in (3, 4):
                 fib = fibres(F1.polytope, k * r)
-                assert we._weight(stepper.advance(k), k * r, fib,
-                                  point_count(fib)) == \
+                assert we._weight(stepper.advance(k), k * r, fib) == \
                     reference_weight(F1, flag, r, k)
 
 
@@ -593,6 +607,7 @@ def test_f1_cox_tables_read_fibres_backwards():
 def test_weight_reads_fibre_slices_of_every_step(variety, k, data):
     points = oracles.prefix_walk_points(variety.polytope, k)
     fib = fibres(variety.polytope, k)
+    assert fib.count == len(points)
     tables = []
     for last in (-2, -1, 0, 1, 3):
         head = data.draw(st.lists(st.integers(-3, 3),
@@ -605,9 +620,9 @@ def test_weight_reads_fibre_slices_of_every_step(variety, k, data):
         table = data.draw(st.lists(st.integers(0, 9), min_size=size,
                                    max_size=size))
         tables.append((a, c, table))
-        assert we._weight([tables[-1]], k, fib, len(points)) == -sum(
+        assert we._weight([tables[-1]], k, fib) == -sum(
             table[i - k * c] for i in idx)
-    assert we._weight(tables, k, fib, len(points)) == -sum(
+    assert we._weight(tables, k, fib) == -sum(
         max(t[sum(x * y for x, y in zip(a, u)) - k * c] for a, c, t in tables)
         for u in points)
 
@@ -616,26 +631,26 @@ def test_weight_rejects_a_table_short_of_the_dilate():
     # the points 0..3 of 3P for P = [0, 1] sit at the table indices
     # a * x - 3 * c, which run over 0..3 * |a|
     fib = fibres(projective_space(1, 1).polytope, 3)
+    assert fib.count == 4
     for a, c in ((1, 0), (-1, -1), (2, 0)):
         table = list(range(3 * abs(a) + 1))
-        assert we._weight([((a,), c, table)], 3, fib, 4) == \
+        assert we._weight([((a,), c, table)], 3, fib) == \
             -sum(table[a * x - 3 * c] for x in range(4))
         with pytest.raises(ConsistencyError):
-            we._weight([((a,), c, table[:-1])], 3, fib, 4)
+            we._weight([((a,), c, table[:-1])], 3, fib)
 
 
 @pytest.mark.parametrize("off", [-1, 1])
 def test_weight_rejects_a_count_off_by_one(off):
-    # _weight takes #krP from its caller instead of recounting the fibres,
-    # so a count that misses them by one fails the coverage check of a
-    # table that covers krP exactly
+    # _weight reads #krP from the fibres' stored count instead of
+    # recounting them, so a count that misses them by one fails the
+    # coverage check of a table that covers krP exactly
     fib = fibres(F1.polytope, 3)
     tables = LevelStepper(F1, EVERY_CHART, 1).advance(3)
-    count = point_count(fib)
-    assert we._weight(tables, 3, fib, count) == \
+    assert we._weight(tables, 3, fib) == \
         reference_weight(F1, EVERY_CHART, 1, 3)
     with pytest.raises(ConsistencyError):
-        we._weight(tables, 3, fib, count + off)
+        we._weight(tables, 3, replace(fib, count=fib.count + off))
 
 
 def test_df_counting_steps_each_k_once(monkeypatch):
@@ -648,8 +663,8 @@ def test_df_counting_steps_each_k_once(monkeypatch):
         step(self)
         steps.append(self.k)
 
-    def recorded_weight(tables, scale, fib, count):
-        weights[scale] = weight(tables, scale, fib, count)
+    def recorded_weight(tables, scale, fib):
+        weights[scale] = weight(tables, scale, fib)
         return weights[scale]
 
     monkeypatch.setattr(LevelStepper, "step", counted_step)
@@ -672,9 +687,10 @@ def test_weight_of_no_tables_is_zero():
     # closure count reads no table and weighs 0
     v = projective_space(2, 2)
     fib = fibres(v.polytope, 4)
-    assert we._weight([], 4, fib, point_count(fib)) == 0
+    assert we._weight([], 4, fib) == 0
     trivial = flag_of([[(0, 0)]], 2)
-    assert we._closure_tables(v, trivial, 2, 3) == []
+    assert we._closure_facets(v, trivial, 2) == []
+    assert we._closure_tables([], 2, 3) == []
     assert closure_weight_at(v, trivial, 2, 3) == 0
 
 
@@ -686,8 +702,8 @@ def test_df_counting_reads_the_closure_through_weight(monkeypatch):
     calls = []
     weight = we._weight
 
-    def recorded_weight(tables, scale, fib, count):
-        calls.append((scale, weight(tables, scale, fib, count)))
+    def recorded_weight(tables, scale, fib):
+        calls.append((scale, weight(tables, scale, fib)))
         return calls[-1][1]
 
     monkeypatch.setattr(we, "_weight", recorded_weight)
@@ -810,6 +826,45 @@ def test_closure_weight_matches_phi_reference(case, r, k):
     variety, flag = case
     assert closure_weight_at(variety, flag, r, k) == \
         reference_closure_weight(variety, flag, r, k)
+
+
+def test_df_counting_closure_samples_match_phi_reference(monkeypatch):
+    # the walk builds each compact facet's closure data once and only the
+    # tables at each k; on F1 charted at (3, 2), (x^3, y^2) has one compact
+    # facet, of normal (2, 3, 6), so t_f = 6, and is not integrally
+    # closed.  The window (1, 3) is extended, and every sample of it, past
+    # the first window too, is the phi reference
+    variety = CLOSURE_VARIETIES[-1]
+    flag = flag_of([[(3, 0), (0, 2)]], 2)
+    assert [f.normal for f in flag.polyhedron.facets] == [(2, 3, 6)]
+    samples = {}
+    built = []
+    walk = we._walk
+    closure_facets = we._closure_facets
+
+    def recorded_walk(*args):
+        sample = walk(*args)
+
+        def recorded(k):
+            samples[k] = sample(k)
+            return samples[k]
+        return recorded
+
+    def counted_facets(*args):
+        built.append(args)
+        return closure_facets(*args)
+
+    monkeypatch.setattr(we, "_walk", recorded_walk)
+    monkeypatch.setattr(we, "_closure_facets", counted_facets)
+    report = df_counting(variety, flag, 1, FitOptions(window=(1, 3)))
+    monkeypatch.undo()
+    assert (report.df, report.closure_df) == (8, 6)
+    assert report.integrally_closed is False
+    assert len(built) == 1
+    assert sorted(samples) == list(range(1, max(samples) + 1))
+    assert max(samples) > 3
+    for k, (_, _, closure) in samples.items():
+        assert closure == reference_closure_weight(variety, flag, 1, k)
 
 
 def test_df_counting_enumerates_each_sample_once(monkeypatch):
