@@ -9,10 +9,12 @@ before them, rows with Fraction entries being scaled to integer ones
 first, so the expansion builds no Fraction; solve_unique builds them only
 for its solution, by Cramer's rule.  A hyperplane normal is the cofactor
 vector of its difference rows, so a caller that walks subsets sharing a
-prefix expands each prefix row once.  The expansion costs one term per
-column of each subset of the columns, exponential in the width; the
-library's widths are at most n + 1, so at most 5, and the tests draw
-widths up to 6: at these sizes clarity wins over asymptotics.
+prefix expands each prefix row once.  No matrix is inverted: the chart
+frame at a smooth vertex is read off the polytope's edges.  The
+expansion costs one term per column of each subset of the columns,
+exponential in the width; the library's widths are at most n + 1, so at
+most 5, and the tests draw widths up to 6: at these sizes clarity wins
+over asymptotics.
 """
 
 from __future__ import annotations
@@ -159,28 +161,3 @@ def hyperplane_normal(points, minors):
         g = -g
     return tuple([x // g for x in n])
 
-
-def integer_inverse(rows):
-    """Inverse of an integer matrix with determinant +-1, as integer rows.
-
-    Column i of the adjugate is (-1)^i times the cofactor vector of the
-    rows other than i (entry j being (-1)^j times their minor without
-    column j), and the inverse is the adjugate over det, that is times
-    det.  The minors of the rows before i are expanded once and extended
-    both by row i, toward det, and by the rows after it, toward that
-    cofactor vector."""
-    n = len(rows)
-    prefix, columns = (1,), []
-    for i in range(n):
-        minors = prefix
-        for k, row in enumerate(rows[i + 1:], i + 1):
-            minors = extend_minors(minors, row, k)
-        columns.append([m if (i + j) % 2 == 0 else -m
-                        for j, m in enumerate(reversed(minors))])
-        prefix = extend_minors(prefix, rows[i], i + 1)
-    d = prefix[0]
-    if d == 0:
-        raise ValueError("matrix is singular")
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    return tuple(tuple(d * col[j] for col in columns) for j in range(n))

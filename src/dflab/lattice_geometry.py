@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from math import prod
+from itertools import compress, product
+from math import gcd, prod
 
 from .errors import (
     InconsistentVertices,
@@ -25,7 +25,7 @@ from .errors import (
     as_integer,
 )
 from .hull import _vertices, facets_of_points, lattice_volume
-from .intlinalg import det, dot, integer_inverse, rank
+from .intlinalg import det, dot, rank
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,7 @@ class LatticePolytope:
     dim: int
     vertices: tuple   # sorted tuples of ints
     facets: tuple     # (primitive inner normal a, offset c) with <a,x> >= c
+    incidence: tuple  # per vertex, the indices of the facets through it
 
 
 @dataclass(frozen=True)
@@ -111,12 +112,7 @@ class PolarizedToricVariety:
 
     def maximal_charts(self):
         """For each vertex, the indices of facets through it (its chart)."""
-        out = []
-        for v in self.polytope.vertices:
-            idx = tuple(i for i, (a, c) in enumerate(self.polytope.facets)
-                        if dot(a, v) == c)
-            out.append(idx)
-        return tuple(out)
+        return self.polytope.incidence
 
     def chart_facet_indices(self):
         """Facet index tight at chart_vertex and dual to each edge direction.
@@ -177,17 +173,9 @@ def fibres(poly, k):
         else:
             his = [x if v >= 0 else lows[-1] - 1 for x, v in zip(his, col)]
     keep = [lo <= hi for lo, hi in zip(los, his)]
-    # axis i's column over the grid repeats each coordinate once per
-    # prefix of the later axes, and that run once per prefix of the earlier
-    cols = []
-    inner = size
-    for axis in axes:
-        inner //= len(axis)
-        col = [x for x in axis for _ in range(inner)] \
-            * (size // inner // len(axis))
-        cols.append(list(compress(col, keep)))
+    cols = tuple(list(compress(col, keep)) for col in zip(*product(*axes)))
     los, his = list(compress(los, keep)), list(compress(his, keep))
-    return Fibres(tuple(cols), los, his, sum(his) - sum(los) + len(los))
+    return Fibres(cols, los, his, sum(his) - sum(los) + len(los))
 
 
 def _intersection_numbers(poly):
@@ -196,22 +184,22 @@ def _intersection_numbers(poly):
     The boundary divisor of F meets L^(n-1) in lam_F, the lattice volume
     of F, and K is minus the sum of the boundary divisors.  L^n is the
     normalized volume of P, the facet sum of hull.lattice_volume over one
-    vertex v: the sum of (<a_F, v> - c_F) * lam_F.
+    vertex v: the sum of (<a_F, v> - c_F) * lam_F, with the vertices of F
+    read from the incidence.
     """
     v = poly.vertices[0]
     terms = [(dot(a, v) - c,
-              lattice_volume([u for u in poly.vertices if dot(a, u) == c], a))
-             for a, c in poly.facets]
+              lattice_volume([u for u, on in zip(poly.vertices, poly.incidence)
+                              if i in on], a))
+             for i, (a, c) in enumerate(poly.facets)]
     return sum(h * lam for h, lam in terms), -sum(lam for _, lam in terms)
 
 
-def _smooth_normals(poly, v):
-    """Normals of the facets through the vertex v when they are n and have
-    determinant +-1, i.e. v is smooth; None otherwise."""
-    tight = [a for a, c in poly.facets if dot(a, v) == c]
-    if len(tight) != poly.dim or abs(det(tight)) != 1:
-        return None
-    return tight
+def _smooth(poly, on):
+    """Whether a vertex on the facets indexed by on is smooth: they are n
+    and their normals have determinant +-1."""
+    return len(on) == poly.dim and \
+        abs(det([poly.facets[i][0] for i in on])) == 1
 
 
 def make_variety(vertices, chart_vertex=None):
@@ -221,6 +209,9 @@ def make_variety(vertices, chart_vertex=None):
     and contain no point interior to the hull of the others.  The chart
     vertex (default: lexicographically smallest vertex) must be smooth,
     i.e. the primitive edge directions there must form a lattice basis.
+    The polytope keeps the facets through each vertex, read from the
+    facet search, and smoothness, the charts, the chart frame and the
+    intersection numbers read that incidence.
     """
     pts = []
     for v in vertices:
@@ -248,8 +239,11 @@ def make_variety(vertices, chart_vertex=None):
         raise InconsistentVertices(
             "points %r are not vertices of the hull" %
             (sorted(set(uniq) - set(ext)),))
-    facets = tuple((f.normal, f.offset) for f in hull)
-    poly = LatticePolytope(dim=n, vertices=tuple(uniq), facets=facets)
+    poly = LatticePolytope(
+        dim=n, vertices=tuple(uniq),
+        facets=tuple((f.normal, f.offset) for f in hull),
+        incidence=tuple(tuple(i for i, f in enumerate(hull) if v in f.points)
+                        for v in uniq))
 
     try:
         v0 = uniq[0] if chart_vertex is None else \
@@ -259,16 +253,24 @@ def make_variety(vertices, chart_vertex=None):
             "chart vertex %r is not a vertex" % (chart_vertex,)) from None
     if v0 not in uniq:
         raise InvalidInput("chart vertex %r is not a vertex" % (v0,))
-    tight = _smooth_normals(poly, v0)
-    if tight is None:
+    tight = poly.incidence[uniq.index(v0)]
+    if not _smooth(poly, tight):
         raise NonUnimodularChartVertex(
             "cone at %r is not a smooth chart" % (v0,))
-    # the edges at v0 are the columns of the inverse of the tight normal
-    # matrix, each 1 on its own normal and 0 on the others; descending
-    # order makes the frame at the origin of the stock polytopes the
-    # identity, and the chart map is the tight normals in the same order
-    frame = sorted(zip(zip(*integer_inverse(tight)), tight), reverse=True)
-    smooth = all(_smooth_normals(poly, v) is not None for v in poly.vertices)
+    # the edge dual to tight facet i runs from v0 to the one other vertex
+    # on every tight facet but i, and its primitive step is 1 on normal i
+    # and 0 on the others; descending order makes the frame at the origin
+    # of the stock polytopes the identity, and the chart map is the tight
+    # normals in the same order
+    frame = []
+    for i in tight:
+        w = next(w for w, on in zip(uniq, poly.incidence)
+                 if w != v0 and set(tight) - {i} <= set(on))
+        step = [x - y for x, y in zip(w, v0)]
+        g = gcd(*step)
+        frame.append((tuple(x // g for x in step), poly.facets[i][0]))
+    frame.sort(reverse=True)
+    smooth = all(_smooth(poly, on) for on in poly.incidence)
     return PolarizedToricVariety(
         polytope=poly,
         chart_vertex=v0,

@@ -222,16 +222,18 @@ def _strides(shape):
 
 def _pad(table, shape, new_shape):
     """The row-major table on the box shape, extended to the box new_shape
-    by repeating its last cell along every axis."""
+    by repeating its last cell along every axis.  Only the axes whose side
+    grows are rebuilt; when none does, the table itself is returned."""
     inner = 1
     for i in range(len(shape) - 1, -1, -1):
         chunk = shape[i] * inner
         extra = new_shape[i] - shape[i]
-        out = []
-        for start in range(0, len(table), chunk):
-            out += table[start:start + chunk]
-            out += table[start + chunk - inner:start + chunk] * extra
-        table = out
+        if extra:
+            out = []
+            for start in range(0, len(table), chunk):
+                out += table[start:start + chunk]
+                out += table[start + chunk - inner:start + chunk] * extra
+            table = out
         inner *= new_shape[i]
     return table
 

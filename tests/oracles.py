@@ -209,6 +209,17 @@ def det(rows):
     return out
 
 
+def inverse(rows):
+    """Inverse of a square matrix, as Fraction rows read off the reduced
+    echelon form of [rows | I]; None when it is singular."""
+    n = len(rows)
+    red, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                        for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
 def nullspace_primitive(rows, dim):
     """Primitive integer generator of a one-dimensional nullspace, read off
     the reduced rows with the free entry 1; None unless rank is dim - 1."""

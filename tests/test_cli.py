@@ -760,3 +760,44 @@ def test_unusable_paths_and_streams_exit_one(tmp_path, capsys, argv, stream):
     assert err.startswith("invalid input: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# a job, variety or flag_ideal of the wrong shape is invalid input
+
+@pytest.mark.parametrize("job", [
+    _with(COMPUTE_JOB, variety=[1]),
+    _with(COMPUTE_JOB, variety={"type": "polytope"}),
+    _with(COMPUTE_JOB, flag_ideal=[1]),
+    _with(COMPUTE_JOB, flag_ideal={"ideals": []}),
+    [],
+], ids=["variety_not_an_object", "polytope_without_vertices",
+        "flag_ideal_not_an_object", "no_ideals", "job_is_a_list"])
+def test_misshapen_jobs_exit_one(tmp_path, capsys, job):
+    code, out, err = run(capsys, ["compute", "--job", write_job(tmp_path, job)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("invalid input: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_compute_on_the_stock_hirzebruch_surface(tmp_path, capsys):
+    # m on F1 with its anticanonical polarization at r = 2
+    job = {"variety": {"type": "hirzebruch"},
+           "flag_ideal": {"ideals": [{"gens": [[1, 0], [0, 1]]}]}, "r": 2}
+    code, out, _ = run(capsys, ["compute", "--job", write_job(tmp_path, job)])
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert (report["DF"], report["consistent"]) == ("20/3", True)
+
+
+def test_intersection_envelope_holds_the_closed_formula_alone():
+    # m^2 on P^2(2) at r = 2 through the closed formula only
+    job = {"variety": {"type": "projective_space", "n": 2, "d": 2},
+           "flag_ideal": {"ideals": [{"gens": [[2, 0], [1, 1], [0, 2]]}]},
+           "r": 2, "pipeline": "intersection"}
+    report = cli.compute_envelope(job)["report"]
+    assert set(report) == {"DF", "decomposition", "normalization",
+                           "pipeline", "r", "trivial"}
+    assert (report["DF"], report["decomposition"]["DF"]) == ("8", "8")

@@ -285,6 +285,51 @@ def test_chart_matrix_inverts_the_edge_matrix(points):
                    for row in var.chart_matrix)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(point_sets))
+@example(FLAT_FACETS[0])
+@example(FLAT_FACETS[2])
+def test_incidence_matches_a_scan_at_every_vertex(points):
+    # smooth, maximal_charts() and the edge frame read the vertex-facet
+    # incidence that make_variety keeps; the reference scans every vertex
+    # against every facet and inverts the tight normals
+    var = variety_of(points)
+    assume(var is not None)
+    poly = var.polytope
+    scan = tuple(tuple(i for i, (a, c) in enumerate(poly.facets)
+                       if dot(a, v) == c) for v in poly.vertices)
+    assert var.maximal_charts() == scan
+    normals = [[poly.facets[i][0] for i in on] for on in scan]
+    smooth = [len(t) == poly.dim and abs(oracles.det(t)) == 1
+              for t in normals]
+    assert var.smooth == all(smooth)
+    for v, tight, ok in zip(poly.vertices, normals, smooth):
+        if not ok:
+            with pytest.raises(NonUnimodularChartVertex):
+                make_variety(poly.vertices, v)
+            continue
+        at = make_variety(poly.vertices, v)
+        frame = sorted(zip(zip(*oracles.inverse(tight)), tight), reverse=True)
+        assert at.edge_directions == tuple(e for e, _ in frame)
+        assert at.chart_matrix == tuple(a for _, a in frame)
+
+
+def test_edge_steps_are_divided_by_their_gcd():
+    # every edge of P^2(3) runs 3 lattice steps to the next vertex, and
+    # the frame holds its primitive generator
+    v = projective_space(2, 3)
+    assert v.edge_directions == ((1, 0), (0, 1))
+    far = make_variety(v.polytope.vertices, (3, 0))
+    assert far.edge_directions == ((-1, 1), (-1, 0))
+    assert far.chart_matrix == ((0, 1), (-1, -1))
+    assert far.chart_coords((0, 3), 1) == (3, 0)
+
+
+def test_mixed_dimension_vertices_rejected():
+    with pytest.raises(InvalidInput, match="mixed dimension"):
+        make_variety([(0, 0), (1, 0), (0, 1, 1)])
+
+
 def test_chart_coords_identity_chart():
     v = projective_space(2, 2)
     assert v.chart_coords((1, 1), 1) == (1, 1)

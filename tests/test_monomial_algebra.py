@@ -80,6 +80,8 @@ def test_make_rejects_bad_generators():
         MonomialIdeal.make(2, [(1,)])
     with pytest.raises(InvalidInput):
         MonomialIdeal.make(2, [(-1, 0)])
+    with pytest.raises(InvalidInput, match="not a list"):
+        MonomialIdeal.make(2, [5])
 
 
 def test_zero_and_unit():
@@ -149,6 +151,10 @@ def test_validate_input_errors():
         validate_flag_ideal([ideal(2, (1, 0))], mode="cox")
     with pytest.raises(InvalidInput):
         validate_flag_ideal([ideal(1, (1,))], mode="nonsense")
+    # F1 has four facets, so a cox chain needs four variables
+    with pytest.raises(InvalidInput, match="one variable per facet"):
+        validate_flag_ideal([ideal(3, (1, 0, 0))], mode="cox",
+                            variety=hirzebruch_anticanonical())
 
 
 def test_support_classification():

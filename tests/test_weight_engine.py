@@ -1239,3 +1239,31 @@ def test_evaluate_raises_when_counting_undershoots(monkeypatch):
     monkeypatch.setattr(we, "df_counting", lambda *a, **k: rep)
     with pytest.raises(ConsistencyError):
         evaluate(v, flag, 1, pipeline="both")
+
+
+def test_evaluate_intersection_reports_the_closed_formula_alone():
+    # m^2 on P^2(2) at r = 2 through the closed formula only: the report
+    # holds its DF and decomposition, and nothing of the counting route
+    v = projective_space(2, 2)
+    rep = evaluate(v, flag_of([[(2, 0), (1, 1), (0, 2)]], 2), 2,
+                   pipeline="intersection")
+    assert rep.df == rep.decomposition.df == 8
+    doc = rep.to_json_dict()
+    assert set(doc) == {"DF", "decomposition", "normalization", "pipeline",
+                        "r", "trivial"}
+    assert (doc["DF"], doc["pipeline"], doc["r"]) == ("8", "intersection", 2)
+
+
+def test_evaluate_raises_when_the_closed_formula_misses_the_closure_fit(
+        monkeypatch):
+    # (x^3, y^3) on P^2(2) at r = 2 is not integrally closed: DF is 27,
+    # and the closure fit and the closed formula are both 15.  A closed
+    # formula of 14 stays below the count but misses the closure fit
+    v = projective_space(2, 2)
+    flag = flag_of([[(3, 0), (0, 3)]], 2)
+    rep = evaluate(v, flag, 2, pipeline="both")
+    assert (rep.df, rep.closure_df, rep.decomposition.df) == (27, 15, 15)
+    deco = replace(rep.decomposition, df=Fraction(14))
+    monkeypatch.setattr(we, "df_intersection", lambda *a: deco)
+    with pytest.raises(ConsistencyError, match="closure fit"):
+        evaluate(v, flag, 2, pipeline="both")
