@@ -14,9 +14,11 @@ else is read from those facets: a set of affine rank m is first projected
 onto m coordinates on which that rank survives (an affine isomorphism on
 its affine hull, integer points staying integer), its vertices are the
 points whose facet normals have rank m.  The one volume the library
-computes, the lattice volume of a set on a hyperplane, is a facet sum one
-dimension down; triangulations stay as the tests' reference.  All answers
-are exact.
+computes, the lattice volume of a set on a hyperplane, is the gcd of the
+minors of the difference rows for a simplex, built by the same
+extend_minors, and otherwise a facet sum one dimension down that stops at
+simplices; triangulations stay as the tests' reference.  All answers are
+exact.
 """
 
 from __future__ import annotations
@@ -247,19 +249,30 @@ def lattice_volume(points, normal):
     """Lattice-normalized volume of conv(points), an integer, for lattice
     points on an affine hyperplane with primitive normal.
 
-    Dropping coordinate i, the last nonzero entry of the normal, maps the
-    lattice of the hyperplane onto a sublattice of Z^(d-1) of index
-    |normal[i]| (the normal is primitive), so the volume is the normalized
-    volume of the projection Q over |normal[i]|.  A segment's normalized
-    volume is its length.  Otherwise, for Q full-dimensional and any point
-    v of Q, coning Q from v over its facets G gives the facet sum
+    The lattice of the hyperplane is the saturated sublattice of Z^d
+    orthogonal to the normal.  For d distinct points, a simplex, the
+    cofactor vector of their d - 1 difference rows is orthogonal to the
+    hyperplane, so a multiple of the normal, and its content is the index
+    of the lattice those rows span in the hyperplane's lattice, which is
+    the simplex's normalized volume; so the volume is the gcd of the
+    (d - 1) x (d - 1) minors of the rows, 0 when the points are affinely
+    dependent.  The hull of points on a line is the segment between its
+    ends, so in R^2 only the ends are read.
+
+    Any other set drops coordinate i, the last nonzero entry of the
+    normal, which maps the lattice of the hyperplane onto a sublattice of
+    Z^(d-1) of index |normal[i]| (the normal is primitive), so the volume
+    is the normalized volume of the projection Q over |normal[i]|.  For Q
+    full-dimensional and any point v of Q, coning Q from v over its
+    facets G gives the facet sum
 
         normalized volume of Q = sum over G of (<a_G, v> - c_G) * vol(G)
 
     with a_G the primitive inner normal and c_G the offset of G, and
     vol(G) the lattice volume of G, read by this function in one dimension
-    less.  A Q of lower dimension has no facets and volume 0.  A normal
-    that is not primitive is rejected.
+    less, where it stops at the facets that are simplices.  A Q of lower
+    dimension has no facets and volume 0.  A normal that is not primitive
+    is rejected.
     """
     if gcd(*normal) != 1:
         raise InvalidInput("normal %r is not primitive" % (normal,))
@@ -269,17 +282,26 @@ def lattice_volume(points, normal):
             raise InvalidInput(
                 "point %r outside the lattice span of the hyperplane" % (p,))
     d = len(normal)
-    if d == 1:
-        return 1
-    i = max(j for j in range(d) if normal[j] != 0)
-    flat = sorted(set(p[:i] + p[i + 1:] for p in points))
+    pts = set(points)
     if d == 2:
-        norm = flat[-1][0] - flat[0][0]
-    else:
-        apex = flat[0]
-        # a facet through the apex has height 0 and is not recursed into
-        norm = sum(h * lattice_volume(g.points, g.normal)
-                   for g in facets_of_points(flat)
-                   if (h := dot(g.normal, apex) - g.offset))
+        pts = (min(pts), max(pts))
+    if len(pts) == d:
+        p0, *rest = pts
+        minors = (1,)
+        for k, p in enumerate(rest, 1):
+            minors = extend_minors(minors, [x - y for x, y in zip(p, p0)], k)
+        vol = gcd(*minors)
+        cofactors = [m if j % 2 == 0 else -m
+                     for j, m in enumerate(reversed(minors))]
+        assert cofactors in ([vol * a for a in normal],
+                             [-vol * a for a in normal])
+        return vol
+    i = max(j for j in range(d) if normal[j] != 0)
+    flat = sorted(set(p[:i] + p[i + 1:] for p in pts))
+    apex = flat[0]
+    # a facet through the apex has height 0 and is not recursed into
+    norm = sum(h * lattice_volume(g.points, g.normal)
+               for g in facets_of_points(flat)
+               if (h := dot(g.normal, apex) - g.offset))
     assert norm % normal[i] == 0
     return norm // abs(normal[i])

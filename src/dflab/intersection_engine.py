@@ -96,14 +96,15 @@ def _check_exponent(variety, np_, r):
     polyhedron's compact facets projects into the chart image of rP
     (boundary allowed), where phi lives.  That image is convex, so this is
     the same verdict as for the facets' vertices alone; the points lie in
-    the orthant, so only the facets of P can exclude them."""
-    for f in np_.facets:
-        for p in f.points:
-            u = variety.point_from_chart(p[:-1], r)
-            if any(dot(a, u) < r * c for a, c in variety.polytope.facets):
-                raise ExponentTooSmall(
-                    "newton polyhedron support point %r leaves the chart "
-                    "polytope at exponent r=%d" % (tuple(p[:-1]), r))
+    the orthant, so only the facets of P can exclude them.  A point on
+    several facets is tested once, in the order of its first appearance,
+    so the error names the first point in facet order that fails."""
+    for p in dict.fromkeys(p for f in np_.facets for p in f.points):
+        u = variety.point_from_chart(p[:-1], r)
+        if any(dot(a, u) < r * c for a, c in variety.polytope.facets):
+            raise ExponentTooSmall(
+                "newton polyhedron support point %r leaves the chart "
+                "polytope at exponent r=%d" % (tuple(p[:-1]), r))
 
 
 def _region_vertices(variety, np_, facet, r):

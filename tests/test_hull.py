@@ -5,7 +5,7 @@ from math import factorial
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dflab.hull as hull
@@ -171,8 +171,9 @@ def test_lattice_volume_divides_by_the_dropped_normal_entry():
 
 
 def test_lattice_volume_recursion_stops_at_segments(monkeypatch):
-    # the facet sum recurses one dimension at a time and reads a segment's
-    # length directly, so no hull is ever taken of points on a line
+    # a simplex's volume is read from its minors and a segment's from its
+    # ends, so no hull is taken of d points in R^d or of points on a line,
+    # and the facet sum recurses only until its facets are simplices
     seen = []
     facets = hull.facets_of_points
 
@@ -186,14 +187,19 @@ def test_lattice_volume_recursion_stops_at_segments(monkeypatch):
     cube = [(0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0)]
     assert lattice_volume(cube, (0, 0, 0, 1)) == 8
     assert lattice_volume([(0, 0), (2, 4), (1, 2)], (2, -1)) == 2
-    assert seen and min(seen) >= 2
+    assert seen == []
+    # the unit cube takes the hull of itself and of its 3 squares off the
+    # origin, whose edges are segments
+    cube = [(x, y, z, 0) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    assert lattice_volume(cube, (0, 0, 0, 1)) == 6
+    assert seen == [3, 2, 2, 2]
 
 
 def test_lattice_volume_skips_the_facets_through_its_apex(monkeypatch):
     # a facet through the apex has height 0 over it and adds nothing to
     # the facet sum, so its volume is not taken: the unit cube recurses
     # into its 3 squares off the origin, each into its 2 edges off its own
-    # apex; the unit simplex into its one far triangle and one far edge
+    # apex; the unit simplex is read from its minors, with no recursion
     calls = []
     volume = hull.lattice_volume
 
@@ -208,7 +214,7 @@ def test_lattice_volume_skips_the_facets_through_its_apex(monkeypatch):
     calls.clear()
     simplex = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
     assert hull.lattice_volume(simplex, (0, 0, 0, 1)) == 1
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
 def test_lattice_volume_rejects_points_off_the_hyperplane():
@@ -245,14 +251,25 @@ def unimodular_moves(draw, d):
 
 
 @st.composite
-def moved_hyperplanes(draw):
+def moved_hyperplanes(draw, simplex=False):
     """(points, normal, moved points, moved normal): lattice points on the
     hyperplane x_d = c of R^d, d = 2..4, and their image under a random
-    unimodular map U, with normal e_d carried to e_d U^-1."""
+    unimodular map U, with normal e_d carried to e_d U^-1.  With simplex
+    the points are exactly d distinct ones, and for d > 2 the last may be
+    put on the line through the first two, so that they are affinely
+    dependent."""
     d = draw(st.integers(2, 4))
     c = draw(st.integers(-2, 2))
     base = st.tuples(*[st.integers(-2, 2)] * (d - 1))
-    pts = [p + (c,) for p in draw(st.lists(base, min_size=d, max_size=6))]
+    if simplex:
+        flat = draw(st.lists(base, min_size=d, max_size=d, unique=True))
+        if d > 2 and draw(st.booleans()):
+            k = draw(st.sampled_from([-1, 2]))
+            flat[-1] = tuple(x + k * (y - x) for x, y in zip(*flat[:2]))
+            assume(len(set(flat)) == d)
+    else:
+        flat = draw(st.lists(base, min_size=d, max_size=6))
+    pts = [p + (c,) for p in flat]
     normal = tuple(int(i == d - 1) for i in range(d))
     u = draw(unimodular_moves(d))
     inv = oracles.inverse(u)
@@ -269,3 +286,27 @@ def test_lattice_volume_is_unimodular_invariant(case):
         lattice_volume(pts, normal) == \
         volume_of_points([p[:-1] for p in pts], len(normal) - 1) * \
         factorial(len(normal) - 1)
+
+
+def _no_hull(*args):
+    raise AssertionError("facets_of_points was called")
+
+
+@settings(max_examples=100, deadline=None)
+@given(moved_hyperplanes(simplex=True))
+# three points on a line of the plane x_3 = 1, and a flat tetrahedron
+@example(([(0, 0, 1), (1, 2, 1), (2, 4, 1)], (0, 0, 1),
+          [(0, 0, 1), (1, 2, 1), (2, 4, 1)], (0, 0, 1)))
+@example(([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)],
+          (0, 0, 0, 1),
+          [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)],
+          (0, 0, 0, 1)))
+def test_lattice_volume_reads_a_simplex_from_its_minors(case):
+    pts, normal, moved, moved_normal = case
+    d = len(normal)
+    expected = volume_of_points([p[:-1] for p in pts], d - 1) * \
+        factorial(d - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hull, "facets_of_points", _no_hull)
+        assert lattice_volume(moved, moved_normal) == \
+            lattice_volume(pts, normal) == expected

@@ -25,6 +25,7 @@ from dflab.intersection_engine import (
     lower_hull_integral,
 )
 from dflab.lattice_geometry import (
+    PolarizedToricVariety,
     box,
     hirzebruch_anticanonical,
     make_variety,
@@ -69,6 +70,34 @@ def test_exponent_guard_fires_on_short_sections():
         lower_hull_integral(v, flag, 1)
     # the guard allows the boundary case
     assert lower_hull_integral(v, flag, 2) == 1
+
+
+def test_exponent_guard_tests_each_support_point_once(monkeypatch):
+    # (x^2, y^3, xy) on P^2(1): the compact facets hold (0, 0), (1, 1),
+    # (2, 0) and (0, 0), (0, 3), (1, 1), so (0, 0) and (1, 1) lie on both.
+    # Each point is mapped once, in order of first appearance, and the
+    # error names the first point in facet order that leaves rP
+    calls = []
+    to_chart = PolarizedToricVariety.point_from_chart
+
+    def recorded(self, y, scale):
+        calls.append(tuple(y))
+        return to_chart(self, y, scale)
+
+    monkeypatch.setattr(PolarizedToricVariety, "point_from_chart", recorded)
+    v = projective_space(2, 1)
+    flag = flag_of([[(2, 0), (0, 3), (1, 1)]], 2)
+    assert [len(f.points) for f in flag.polyhedron.facets] == [3, 3]
+    assert lower_hull_integral(v, flag, 3) == Fraction(5, 6)
+    assert calls == [(0, 0), (1, 1), (2, 0), (0, 3)]
+    for r, point, mapped in [(1, "(1, 1)", 2), (2, "(0, 3)", 4)]:
+        calls.clear()
+        with pytest.raises(ExponentTooSmall) as err:
+            lower_hull_integral(v, flag, r)
+        assert str(err.value) == (
+            "newton polyhedron support point %s leaves the chart polytope "
+            "at exponent r=%d" % (point, r))
+        assert calls == [(0, 0), (1, 1), (2, 0), (0, 3)][:mapped]
 
 
 # lower_hull_integral reads phi from the compact facets' projections; the
