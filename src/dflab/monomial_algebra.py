@@ -195,21 +195,15 @@ def validate_flag_ideal(ideals, mode="chart", variety=None):
 
 
 def _chart_functionals(variety, flag):
-    """Per chart: (generator indices, functionals, offsets), so that the
-    chart exponents of a lattice point u of sP are <a, u> - s * c."""
-    if flag.mode == "chart":
-        if flag.support != "point":
-            raise UnsupportedMode(
-                "chart-mode counting needs ideals supported at the chart point")
-        mat = variety.chart_matrix
-        return [(tuple(range(flag.nvars)), mat,
-                 tuple(dot(row, variety.chart_vertex) for row in mat))]
-    if not variety.smooth:
-        raise UnsupportedMode("cox-mode counting needs a smooth polytope")
+    """Per maximal chart: (facet indices, functionals, offsets), so that the
+    chart exponents of a lattice point u of sP are <a, u> - s * c, leaving
+    out each chart where a generator of I_0 projects to 0: every level is 0."""
     facets = variety.polytope.facets
+    first = flag.chain[0].gens
     return [(chart, tuple(facets[i][0] for i in chart),
              tuple(facets[i][1] for i in chart))
-            for chart in variety.maximal_charts()]
+            for chart in variety.maximal_charts()
+            if all(any(g[i] for i in chart) for g in first)]
 
 
 def _strides(shape):
@@ -252,7 +246,7 @@ def _chart_moves(flag, idxs):
 
 @dataclass
 class _ChartTable:
-    idxs: tuple      # the chart's variables, as facet indices in cox mode
+    idxs: tuple      # the chart's variables, as facet indices
     funcs: tuple     # exponent i of u in sP is <funcs[i], u> - s * offs[i]
     offs: tuple
     side: tuple      # D_i: J^k is stepped on the box of side k * D_i
@@ -265,6 +259,10 @@ class _ChartTable:
 class LevelStepper:
     """Level tables of the non-trivial flag's powers J^k for k = 0, 1, 2,
     ..., on the charts that can hold a level, each built from the one before.
+
+    A chart flag is counted as its cox_lift, so it needs ideals supported
+    at the chart point; only the chart vertex's chart is kept (see below),
+    so P need not be smooth, as it must be for a cox flag.
 
     Localization is a ring map, so on a chart the level function of J^k is
     the min-plus convolution of that of J^(k-1) with that of J.  Levels do
@@ -292,6 +290,13 @@ class LevelStepper:
     """
 
     def __init__(self, variety, flag, r):
+        if flag.mode == "chart":
+            if flag.support != "point":
+                raise UnsupportedMode("chart-mode counting needs ideals "
+                                      "supported at the chart point")
+            flag = cox_lift(variety, flag)
+        elif not variety.smooth:
+            raise UnsupportedMode("cox-mode counting needs a smooth polytope")
         self.k = 0
         self.big_n = flag.big_n
         verts = variety.polytope.vertices
@@ -456,7 +461,8 @@ def cox_lift(variety, flag):
 
     Pads each chart generator with zeros on the facets away from the chart
     vertex; exact for point-supported chains, where the associated sheaf
-    is co-supported at the chart point.
+    is co-supported at the chart point.  The chain, its support and t_power
+    are kept as given: padding keeps each ideal's generators minimal.
     """
     if flag.mode != "chart":
         raise InvalidInput("cox_lift starts from a chart-mode flag")
@@ -472,5 +478,6 @@ def cox_lift(variety, flag):
             for j, x in enumerate(g):
                 e[idx[j]] = x
             gens.append(tuple(e))
-        lifted.append(MonomialIdeal.make(nf, gens))
-    return validate_flag_ideal(lifted, mode="cox", variety=variety)
+        lifted.append(MonomialIdeal(nf, tuple(sorted(
+            gens, key=lambda g: (sum(g), g)))))
+    return FlagIdeal(nf, "cox", tuple(lifted), flag.support, flag.t_power)

@@ -163,8 +163,9 @@ def weight_at(variety, flag, r, k):
 
     Levels come from LevelStepper.advance: one integer table per kept chart
     holding the least level of J^k that contains each chart exponent vector
-    of krP.  A point's level is the largest of its table entries, each read
-    at one affine functional of the point; over a fibre of krP each chart's
+    of krP; a chart flag is counted as its cox lift, on one kept chart.  A
+    point's level is the largest of its table entries, each read at one
+    affine functional of the point; over a fibre of krP each chart's
     entries are one stepped slice of its table (see _weight), so no point
     is built.  The reference is the literal expansion of J^k in
     tests/oracles.py, which shares no code with this.

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import ceil
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -244,7 +244,8 @@ def test_t_degree_cox_matches_oracle_on_f1():
 def test_t_degree_unsupported_modes():
     v = projective_space(2, 1)
     general = chart_flag(ideal(2, (1, 0)))
-    with pytest.raises(UnsupportedMode):
+    with pytest.raises(UnsupportedMode, match="chart-mode counting needs "
+                       "ideals supported at the chart point"):
         t_degree(v, general, 1, 1, (0, 0))
     # cox counting needs global smoothness
     vq = __import__("dflab").make_variety([(0, 0), (2, 0), (0, 1), (2, 2)])
@@ -252,7 +253,8 @@ def test_t_degree_unsupported_modes():
     cflag = validate_flag_ideal(
         [MonomialIdeal.make(nf, [tuple(1 for _ in range(nf))])],
         mode="cox", variety=vq)
-    with pytest.raises(UnsupportedMode):
+    with pytest.raises(UnsupportedMode,
+                       match="cox-mode counting needs a smooth polytope"):
         t_degree(vq, cflag, 1, 1, (0, 0))
 
 
@@ -524,8 +526,17 @@ def point_supported_chart_flags(draw):
     return v, validate_flag_ideal([ideal(n, *g) for g in chain])
 
 
+# a chain with an unstripped zero level, as criterion 3 builds it: the
+# lift keeps the level, which shifts the weights
+UNSTRIPPED = FlagIdeal(
+    nvars=2, mode="chart",
+    chain=(MonomialIdeal.zero(2), ideal(2, (2, 0), (1, 1), (0, 2))),
+    support="point", t_power=0)
+
+
 @given(point_supported_chart_flags())
 @settings(max_examples=60, deadline=None)
+@example((projective_space(2, 2), UNSTRIPPED))
 def test_cox_lift_keeps_support_and_chain_length(case):
     # one chart in chart mode, every maximal chart after the lift: the
     # lifted ideals are units away from the chart vertex
@@ -534,6 +545,9 @@ def test_cox_lift_keeps_support_and_chain_length(case):
     lifted = cox_lift(v, flag)
     assert lifted.support == flag.support
     assert lifted.big_n == flag.big_n
+    assert lifted.t_power == flag.t_power
+    assert [i.is_zero for i in lifted.chain] == \
+        [i.is_zero for i in flag.chain]
 
 
 def test_cox_lift_requires_point_support():

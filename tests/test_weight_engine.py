@@ -28,6 +28,7 @@ from dflab.monomial_algebra import (
     FlagIdeal,
     LevelStepper,
     MonomialIdeal,
+    cox_lift,
     newton_polyhedron,
     phi_value,
     t_degree,
@@ -368,6 +369,10 @@ def test_stepped_tables_match_t_degree_sum(case, r, start):
 # kept tables is the largest over every chart.
 
 def chart_data(variety, flag):
+    """(functionals, offsets, moves) per chart of _chart_functionals, a
+    chart flag taken as its cox lift, which is how LevelStepper counts it."""
+    if flag.mode == "chart":
+        flag = cox_lift(variety, flag)
     return [(funcs, offs, ma._chart_moves(flag, idxs))
             for idxs, funcs, offs in ma._chart_functionals(variety, flag)]
 
@@ -496,6 +501,68 @@ def test_f1_keeps_the_charts_that_can_hold_a_level(flag, kept):
             assert len(tables) == kept
             assert_kept_tables_read_the_full_box(F1, flag, r, k, stepper,
                                                  tables)
+
+
+# A chart flag is counted as its cox lift, whose generators all lie on the
+# chart vertex's facets: that vertex's chart is the one kept, its axes in
+# facet order, and every other chart is dead, so P need not be smooth.  F1
+# and Bl_p P^3 with 2H - E, charted away from the origin, have frames that
+# are not the identity; the quadrilateral is not smooth at (2, 2).
+BLOWUP = make_variety([(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0),
+                       (0, 2, 0), (0, 0, 2)], (1, 0, 0))
+QUADRILATERAL = make_variety([(0, 0), (2, 0), (0, 1), (2, 2)])
+
+
+def chart_reference_weight(variety, flag, r, k):
+    """Minus the chart oracle's level sum over krP, read at the chart
+    coordinates of each point."""
+    pg = oracles.power_gens([i.gens for i in flag.chain], flag.big_n, k)
+    s = k * r
+    return -sum(oracles.level_chart(pg, variety.chart_coords(u, s))
+                for u in variety.lattice_points(s))
+
+
+@settings(max_examples=40, deadline=None)
+@given(chart_flags(), st.integers(1, 2))
+@example((make_variety(F1.polytope.vertices, chart_vertex=(3, 2)),
+          flag_of([[(1, 0), (0, 1)]], 2)), 2)
+@example((BLOWUP, flag_of([[(1, 0, 0), (0, 1, 0), (0, 0, 1)]], 3)), 2)
+@example((QUADRILATERAL, flag_of([[(2, 0), (0, 1)], [(1, 0), (0, 1)]], 2)),
+         1)
+def test_a_chart_flag_keeps_the_chart_of_its_vertex(case, r):
+    variety, flag = case
+    assume(not flag.trivial)
+    stepper = LevelStepper(variety, flag, r)
+    assert [ch.idxs for ch in stepper._charts] == \
+        [tuple(sorted(variety.chart_facet_indices()))]
+    for k in (1, 2):
+        assert we._weight(stepper.advance(k), k * r,
+                          variety.dilate_fibres(k * r)) == \
+            chart_reference_weight(variety, flag, r, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chart_flags())
+# a stripped zero level comes back as t_power
+@example((projective_space(2, 2), flag_of([[], [(1, 0), (0, 1)]], 2)))
+def test_cox_lift_is_the_validated_lifted_chain(case):
+    # padding with zeros keeps each ideal minimal and the chain's support,
+    # so the lift, which does not validate, agrees with validation
+    variety, flag = case
+    assume(not flag.trivial)
+    nf = len(variety.polytope.facets)
+    idx = variety.chart_facet_indices()
+
+    def pad(g):
+        e = [0] * nf
+        for i, x in zip(idx, g):
+            e[i] = x
+        return e
+
+    ideals = [MonomialIdeal.zero(nf)] * flag.t_power + [
+        MonomialIdeal.make(nf, [pad(g) for g in i.gens]) for i in flag.chain]
+    assert cox_lift(variety, flag) == \
+        validate_flag_ideal(ideals, mode="cox", variety=variety)
 
 
 def rigid_curve_flags():
@@ -748,7 +815,8 @@ def test_level_stepper_does_not_step_back():
 def test_weight_at_unsupported_modes():
     general = flag_of([[(1, 0)]], 2)
     assert general.support == "general"
-    with pytest.raises(UnsupportedMode):
+    with pytest.raises(UnsupportedMode, match="chart-mode counting needs "
+                       "ideals supported at the chart point"):
         weight_at(projective_space(2, 1), general, 1, 1)
     # cox counting needs global smoothness
     vq = make_variety([(0, 0), (2, 0), (0, 1), (2, 2)])
@@ -756,7 +824,8 @@ def test_weight_at_unsupported_modes():
     nf = len(vq.polytope.facets)
     cflag = flag_of([[tuple(1 for _ in range(nf))]], nf,
                     mode="cox", variety=vq)
-    with pytest.raises(UnsupportedMode):
+    with pytest.raises(UnsupportedMode,
+                       match="cox-mode counting needs a smooth polytope"):
         weight_at(vq, cflag, 1, 1)
 
 
