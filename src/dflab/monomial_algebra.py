@@ -13,9 +13,11 @@ tested chart by chart (invert the variables away from each vertex).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add, le
 
 from .errors import (
     ChainViolation,
@@ -423,12 +425,45 @@ def phi_value(np_, x):
     return best
 
 
+def _lower_points(pts):
+    """The points of the sorted list pts that may lie on a compact face of
+    conv(pts) + nonnegative orthant, in order.
+
+    A point p is left out when 2p >= q1 + q2 in every coordinate and > in
+    one, for some q1, q2 in pts (q1 = q2, or either one p, allowed).  A
+    compact face has a strictly positive inner normal w and order c, the
+    least <w, q> over pts, and <w, p> > <w, (q1 + q2) / 2> >= c, so p is
+    on no compact face.  Every vertex of the polyhedron is a compact face,
+    so the polyhedron without p is the same, and each compact facet keeps
+    its normal, its order and the points on it.  Such a sum has total
+    degree below 2|p|; the sums are scanned in order of total degree up to
+    2|p|, which also keeps a p whose only such sum is 2p.  At most d + 1
+    points in R^d are returned as given: the search tries at most d + 1
+    subsets of them, which costs less than the sums.
+    """
+    if len(pts) <= len(pts[0]) + 1:
+        return pts
+    sums = sorted((tuple(map(add, q, r)) for i, q in enumerate(pts)
+                   for r in pts[i:]), key=sum)
+    degs = [sum(s) for s in sums]
+    out = []
+    for p in pts:
+        two = [2 * x for x in p]
+        if not any(all(map(le, s, two))
+                   for s in sums[:bisect_left(degs, 2 * sum(p))]):
+            out.append(p)
+    return out
+
+
 def newton_polyhedron(flag):
     """Compact lower facets of conv(support(J)) + nonnegative orthant.
 
     Defined for chart-mode, point-supported flags; the compact facets then
     cut out the region exactly, which is what the integral formulas need.
-    Each call builds the polyhedron anew; flag.polyhedron keeps one.
+    The facet search runs over the support points that may lie on a
+    compact face (_lower_points), and keeps the facets of their hull with
+    a strictly positive normal.  Each call builds the polyhedron anew;
+    flag.polyhedron keeps one.
     """
     if flag.trivial:
         return NewtonPolyhedron(facets=())
@@ -448,7 +483,7 @@ def newton_polyhedron(flag):
     # strictly positive, and is then a face of conv(S); pure powers alone
     # span one hyperplane, found in both orientations, and one is kept
     facets = []
-    for f in facets_of_points(sorted(pts)):
+    for f in facets_of_points(_lower_points(sorted(pts))):
         if min(f.normal) > 0:
             assert f.offset > 0
             facets.append(ExceptionalFacet(

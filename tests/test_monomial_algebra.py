@@ -27,7 +27,7 @@ from dflab import (
     projective_space,
     validate_flag_ideal,
 )
-from dflab.hull import extreme_points, point_in_convex_hull
+from dflab.hull import extreme_points, facets_of_points, point_in_convex_hull
 from dflab.monomial_algebra import minimalize, phi_value, t_degree
 
 
@@ -387,23 +387,39 @@ def test_newton_polyhedron_respects_symmetry():
     assert swap == sorted(f.normal for f in b.facets)
 
 
+# (x^3, xy^3, y^6) = (x, y^3)(x^2, y^3) inside (x^2, y^3): the support
+# point (2, 0, 1) of x^2 t lies above the midpoint of x^3 and t^2
+P2_PRODUCT_CHAIN = ((3, 0), (1, 3), (0, 6)), ((2, 0), (0, 3))
+
+
 @st.composite
 def point_flags(draw):
-    """Chart flags of one or two ideals in n = 1..3 variables, each ideal
-    holding a pure power on every axis, so the flag is point-supported;
-    with pure powers alone the support spans a single hyperplane."""
+    """Chart flags in n = 1..3 variables, each ideal holding a pure power
+    on every axis, so the flag is point-supported: one ideal B, a chain
+    B inside B + (more generators), or a product chain A.B inside B, whose
+    support has points above the lower hull; with pure powers alone the
+    support spans a single hyperplane."""
     n = draw(st.integers(1, 3))
-    powers = [tuple(draw(st.integers(1, 4)) * int(j == i) for j in range(n))
-              for i in range(n)]
+
+    def powers():
+        return [tuple(draw(st.integers(1, 4)) * int(j == i)
+                      for j in range(n)) for i in range(n)]
+
     low = st.tuples(*[st.integers(0, 3)] * n).filter(any)
-    chain = [powers + draw(st.lists(low, max_size=3))]
-    if draw(st.booleans()):
+    chain = [powers() + draw(st.lists(low, max_size=3))]
+    shape = draw(st.sampled_from(("one", "grown", "product")))
+    if shape == "grown":
         chain.append(chain[0] + draw(st.lists(low, min_size=1, max_size=2)))
-    return chart_flag(*(MonomialIdeal.make(n, gens) for gens in chain))
+    ideals = [MonomialIdeal.make(n, gens) for gens in chain]
+    if shape == "product":
+        a = MonomialIdeal.make(n, powers() + draw(st.lists(low, max_size=1)))
+        ideals.insert(0, a.product(ideals[0]))
+    return chart_flag(*ideals)
 
 
 @settings(max_examples=100, deadline=None)
 @given(point_flags())
+@example(chart_flag(*(ideal(2, *gens) for gens in P2_PRODUCT_CHAIN)))
 def test_newton_polyhedron_keeps_the_strictly_positive_facets(flag):
     # the compact facets are the support's facets with a strictly positive
     # normal, holding the support points on them, and their vertices are
@@ -418,6 +434,26 @@ def test_newton_polyhedron_keeps_the_strictly_positive_facets(flag):
         assert extreme_points(f.points) == list(
             p for i, p in enumerate(on)
             if not point_in_convex_hull(p, on[:i] + on[i + 1:]))
+
+
+def test_newton_polyhedron_searches_only_lower_points(monkeypatch):
+    searched = []
+
+    def recorded(points):
+        searched.append(list(points))
+        return facets_of_points(points)
+
+    monkeypatch.setattr(ma, "facets_of_points", recorded)
+    flag = chart_flag(*(ideal(2, *gens) for gens in P2_PRODUCT_CHAIN))
+    facets = newton_polyhedron(flag).facets
+    # of the 6 support points, (2, 0, 1) is left out: twice it is
+    # (4, 0, 2) >= (3, 0, 0) + (0, 0, 2), so it is above every compact face
+    assert searched == [[(0, 0, 2), (0, 3, 1), (0, 6, 0), (1, 3, 0),
+                         (3, 0, 0)]]
+    # (0, 3, 1) is kept: twice it is (0, 6, 0) + (0, 0, 2) exactly, and
+    # it lies on the compact facet with normal (3, 1, 3)
+    on = {f.normal: f.points for f in facets}
+    assert (0, 3, 1) in on[(3, 1, 3)]
 
 
 # ---------------------------------------------------------------------------
