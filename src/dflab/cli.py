@@ -134,15 +134,15 @@ def _fit_options(job):
 
 
 def load_job(args):
-    if args.job and args.job != "-":
-        with open(args.job) as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
     try:
+        if args.job and args.job != "-":
+            with open(args.job, encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = sys.stdin.read()
         job = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidInput("job is not valid JSON: %s" % exc)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidInput("job is not valid JSON: %s" % exc) from None
     if not isinstance(job, dict):
         raise InvalidInput("job must be a JSON object")
     return job
@@ -221,13 +221,20 @@ def _print_table(envelope, out):
 
 def _cache_lookup(cache_dir, job):
     """The job's file in cache_dir, which is created if missing, and the
-    text stored there, or None when there is none."""
+    envelope text stored there: None when there is none, and "" when it
+    holds no envelope (bytes that are not UTF-8, or JSON cut short)."""
     os.makedirs(cache_dir, exist_ok=True)
     cache_file = os.path.join(cache_dir, job_key(job) + ".json")
     if not os.path.exists(cache_file):
         return cache_file, None
-    with open(cache_file) as fh:
-        return cache_file, fh.read()
+    try:
+        with open(cache_file, encoding="utf-8") as fh:
+            text = fh.read()
+        envelope = json.loads(text)
+    except ValueError:   # bytes that are not UTF-8, or not JSON
+        envelope = None
+    ok = isinstance(envelope, dict) and "report" in envelope
+    return cache_file, text if ok else ""
 
 
 def cmd_compute(args):
@@ -238,7 +245,7 @@ def cmd_compute(args):
     cache_file = text = None
     if args.cache_dir:
         cache_file, text = _cache_lookup(args.cache_dir, job)
-    if text is None:
+    if not text:
         text = _dump(compute_envelope(job))
         if cache_file:
             _write_atomic(cache_file, text)

@@ -8,10 +8,10 @@ class InvalidInput(ValueError):
 
 def as_integer(value, what):
     """value as an int, or InvalidInput naming what it is; a bool, or a
-    value that int() would change, such as 1.9 or "2", is not an integer."""
+    value int() changes or refuses (1.9, "2", Infinity), is not an integer."""
     try:
         out = None if isinstance(value, bool) else int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or out != value:
         raise InvalidInput("%s must be an integer, not %r" % (what, value))

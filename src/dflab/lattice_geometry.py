@@ -34,6 +34,7 @@ class LatticePolytope:
     vertices: tuple   # sorted tuples of ints
     facets: tuple     # (primitive inner normal a, offset c) with <a,x> >= c
     incidence: tuple  # per vertex, the indices of the facets through it
+    widths: tuple     # per facet, the largest <a,v> - c over the vertices v
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class PolarizedToricVariety:
     polytope: LatticePolytope
     chart_vertex: tuple
     edge_directions: tuple   # primitive generators of the cone at chart_vertex
-    chart_matrix: tuple      # tight facet normals, row j dual to edge j
+    chart_facets: tuple      # tight facet indices, facet j dual to edge j
     smooth: bool             # every vertex cone unimodular
     numbers: tuple           # (L^n, L^(n-1).K), computed by make_variety
 
@@ -91,15 +92,16 @@ class PolarizedToricVariety:
         """Coordinates of a lattice point of scale*P in the fixed chart.
 
         The chart identifies the cone at chart_vertex with the standard
-        orthant; a point u of scale*P maps to U (u - scale * v0) >= 0.
+        orthant; coordinate j of a point u of scale*P is its exponent
+        <a, u> - scale * c >= 0 on (a, c), chart facet j.
         """
-        v0 = self.chart_vertex
-        shifted = [x - scale * y for x, y in zip(u, v0)]
-        y = tuple(dot(row, shifted) for row in self.chart_matrix)
+        facets = self.polytope.facets
+        y = tuple(dot(a, u) - scale * c
+                  for a, c in (facets[i] for i in self.chart_facets))
         if any(t < 0 for t in y):
             raise PointOutsidePolytope(
                 "point %r is outside the chart cone of %r at scale %d"
-                % (tuple(u), v0, scale))
+                % (tuple(u), self.chart_vertex, scale))
         return y
 
     def point_from_chart(self, y, scale):
@@ -113,14 +115,6 @@ class PolarizedToricVariety:
     def maximal_charts(self):
         """For each vertex, the indices of facets through it (its chart)."""
         return self.polytope.incidence
-
-    def chart_facet_indices(self):
-        """Facet index tight at chart_vertex and dual to each edge direction.
-
-        Row j of chart_matrix is that facet's normal: it is 1 on edge j and
-        0 on the others."""
-        normals = [a for a, c in self.polytope.facets]
-        return tuple(normals.index(row) for row in self.chart_matrix)
 
 
 @dataclass(frozen=True)
@@ -211,14 +205,15 @@ def make_variety(vertices, chart_vertex=None):
     i.e. the primitive edge directions there must form a lattice basis.
     The polytope keeps the facets through each vertex, read from the
     facet search, and smoothness, the charts, the chart frame and the
-    intersection numbers read that incidence.
+    intersection numbers read that incidence, and each facet's width.
     """
     pts = []
     for v in vertices:
         t = tuple(v)
         try:
             p = tuple(int(x) for x in t)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
+            # JSON numbers are finite: NaN and Infinity are not numbers
             raise InvalidInput("vertex %r has a non-numeric entry" % (t,)) \
                 from None
         if p != t or any(isinstance(x, bool) for x in t):
@@ -243,7 +238,9 @@ def make_variety(vertices, chart_vertex=None):
         dim=n, vertices=tuple(uniq),
         facets=tuple((f.normal, f.offset) for f in hull),
         incidence=tuple(tuple(i for i, f in enumerate(hull) if v in f.points)
-                        for v in uniq))
+                        for v in uniq),
+        widths=tuple(max(dot(f.normal, v) for v in uniq) - f.offset
+                     for f in hull))
 
     try:
         v0 = uniq[0] if chart_vertex is None else \
@@ -260,22 +257,22 @@ def make_variety(vertices, chart_vertex=None):
     # the edge dual to tight facet i runs from v0 to the one other vertex
     # on every tight facet but i, and its primitive step is 1 on normal i
     # and 0 on the others; descending order makes the frame at the origin
-    # of the stock polytopes the identity, and the chart map is the tight
-    # normals in the same order
+    # of the stock polytopes the identity, and the chart facets are the
+    # tight facets in the same order
     frame = []
     for i in tight:
         w = next(w for w, on in zip(uniq, poly.incidence)
                  if w != v0 and set(tight) - {i} <= set(on))
         step = [x - y for x, y in zip(w, v0)]
         g = gcd(*step)
-        frame.append((tuple(x // g for x in step), poly.facets[i][0]))
-    frame.sort(reverse=True)
+        frame.append((tuple(x // g for x in step), i))
+    edges, chart = zip(*sorted(frame, reverse=True))
     smooth = all(_smooth(poly, on) for on in poly.incidence)
     return PolarizedToricVariety(
         polytope=poly,
         chart_vertex=v0,
-        edge_directions=tuple(d for d, _ in frame),
-        chart_matrix=tuple(a for _, a in frame),
+        edge_directions=edges,
+        chart_facets=chart,
         smooth=smooth,
         numbers=_intersection_numbers(poly),
     )

@@ -281,7 +281,7 @@ class LevelStepper:
     of side k * D_i, padding J^(k-1)'s table by its last cell on each axis
     is exact, and advance pads J^k's table the same way to the
     box of side k * e_i that krP reads, e_i = max(D_i, r * w_i) with w_i
-    the chart functional's reach over the vertices.
+    the width over P of the chart's facet i (LatticePolytope.widths).
 
     Axis i is live when D_i > 0.  The moves are 0 on the other axes, so a
     chart's level is that of J^k with every variable but its live ones
@@ -301,14 +301,13 @@ class LevelStepper:
             raise UnsupportedMode("cox-mode counting needs a smooth polytope")
         self.k = 0
         self.big_n = flag.big_n
-        verts = variety.polytope.vertices
+        widths = variety.polytope.widths
         charts = []
         for idxs, funcs, offs in _chart_functionals(variety, flag):
             moves = _chart_moves(flag, idxs)
             side = tuple(max([g[i] for g, _ in moves], default=0)
                          for i in range(len(idxs)))
-            reach = tuple(max(d, r * max(dot(a, v) - c for v in verts))
-                          for d, a, c in zip(side, funcs, offs))
+            reach = tuple(max(d, r * widths[f]) for d, f in zip(side, idxs))
             charts.append(_ChartTable(
                 idxs, funcs, offs, side, reach, moves, [1] * len(side), [0]))
         self._charts = []
@@ -504,7 +503,7 @@ def cox_lift(variety, flag):
     if flag.support != "point":
         raise UnsupportedMode("cox_lift needs a point-supported chain")
     nf = len(variety.polytope.facets)
-    idx = variety.chart_facet_indices()
+    idx = variety.chart_facets
     lifted = []
     for ideal in flag.chain:
         gens = []

@@ -277,20 +277,22 @@ def _closure_facets(variety, flag, r):
     With y the chart coordinates of u, k * phi(y / k) = max(0, max_f
     (k * order_f - <w_f, y>) / t_f) over the compact facets f, whose
     normals (w_f, t_f) are strictly positive, so t = t_f > 0.  Folding the
-    chart map y = U (u - k r v0) into the facet functional, a = U^T w_f and
-    e = order_f + r <a, v0>, the facet's level max(0, ceil((k e - s) / t))
-    depends on u only through s = <a, u>, which runs over k r lo .. k r hi,
-    lo and hi the least and largest <a, v> over the vertices v of P.
+    chart map y_j = <a_j, u> - k r c_j, (a_j, c_j) chart facet j, into the
+    facet functional, a = sum_j w_j a_j and e = order_f + r lo, the facet's
+    level max(0, ceil((k e - s) / t)) depends on u only through s = <a, u>,
+    which runs over k r lo .. k r hi, lo and hi the least and largest <a, v>
+    over P; lo = sum_j w_j c_j = <a, v0>, as every w_j > 0.
     """
-    cols = tuple(zip(*variety.chart_matrix))
+    facets = variety.polytope.facets
+    normals, offs = zip(*(facets[i] for i in variety.chart_facets))
     out = []
     for f in flag.polyhedron.facets:
         w, t = f.normal[:-1], f.normal[-1]
         assert t > 0
-        a = tuple(dot(w, col) for col in cols)
-        ends = [dot(a, v) for v in variety.polytope.vertices]
-        out.append((a, min(ends), max(ends),
-                    f.order + r * dot(a, variety.chart_vertex), t))
+        a = tuple(dot(w, col) for col in zip(*normals))
+        lo = dot(w, offs)
+        out.append((a, lo, max(dot(a, v) for v in variety.polytope.vertices),
+                    f.order + r * lo, t))
     return out
 
 
@@ -535,18 +537,12 @@ def _semiample_precheck(variety, flag, r):
         return None
     # the chain increases, so its last ideal has the least pure powers
     axis = pure_powers(flag.chain[-1].gens, range(variety.dim))
-    widths = _chart_axis_widths(variety)
-    for i in range(variety.dim):
-        if axis[i] is not None and r * widths[i] < axis[i]:
+    # chart axis j runs up to the width of chart facet j on P
+    for e, f in zip(axis, variety.chart_facets):
+        if e is not None and r * variety.polytope.widths[f] < e:
             return ("exceptional locus may be clipped at r=%d; expect a "
                     "quasi-polynomial or an exponent error" % r)
     return None
-
-
-def _chart_axis_widths(variety):
-    """Extent of the polytope along each chart coordinate axis."""
-    return [max(col) for col in zip(*(variety.chart_coords(v, 1)
-                                      for v in variety.polytope.vertices))]
 
 
 def evaluate(variety, flag, r, pipeline="both", options=None):

@@ -171,6 +171,21 @@ def test_compute_rejects_malformed_json(tmp_path, capsys):
     assert "invalid input" in err
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_compute_rejects_a_job_that_is_not_utf8(tmp_path, capsys, monkeypatch,
+                                               source):
+    raw = b"\xff\xfe{"
+    path = tmp_path / "job.json"
+    path.write_bytes(raw)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw),
+                                                       encoding="utf-8"))
+    code, out, err = run(capsys, ["compute", "--job",
+                                  str(path) if source == "file" else "-"])
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid input: job is not valid JSON: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_compute_table_format(tmp_path, capsys):
     path = write_job(tmp_path, COMPUTE_JOB)
     code, out, _ = run(capsys, ["compute", "--job", path, "--format", "table"])
@@ -301,6 +316,31 @@ def test_interrupted_cache_write_leaves_no_envelope(tmp_path, capsys,
     assert json.loads(out)["report"]["DF"] == "1"
 
 
+# a cache entry that holds no envelope, here bytes that are not UTF-8 or
+# an envelope cut short, is computed again and rewritten, in either format
+BROKEN_ENTRIES = pytest.mark.parametrize("mangle", [
+    lambda stored: b"\xff" + stored[1:],
+    lambda stored: stored[:len(stored) // 2],
+], ids=["not_utf8", "cut_short"])
+
+
+@BROKEN_ENTRIES
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_compute_rewrites_a_broken_cache_entry(tmp_path, capsys, mangle, fmt):
+    path = write_job(tmp_path, COMPUTE_JOB)
+    cache = tmp_path / "cache"
+    argv = ["compute", "--job", path, "--format", fmt,
+            "--cache-dir", str(cache)]
+    code, fresh, _ = run(capsys, argv)
+    assert code == 0
+    [entry] = cache.iterdir()
+    stored = entry.read_bytes()
+    entry.write_bytes(mangle(stored))
+    assert run(capsys, argv) == (0, fresh, "")
+    assert list(cache.iterdir()) == [entry]
+    assert entry.read_bytes() == stored
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -332,6 +372,21 @@ def test_verify_job_detects_tampered_cache(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["verified"] is False
     assert "cached result differs from recomputation" in doc["messages"]
+
+
+@BROKEN_ENTRIES
+def test_verify_job_reports_a_broken_cache_entry(tmp_path, capsys, mangle):
+    path = write_job(tmp_path, COMPUTE_JOB)
+    cache = tmp_path / "cache"
+    run(capsys, ["verify", "--job", path, "--cache-dir", str(cache)])
+    [entry] = cache.iterdir()
+    entry.write_bytes(mangle(entry.read_bytes()))
+    code, out, err = run(capsys, ["verify", "--job", path,
+                                  "--cache-dir", str(cache)])
+    assert (code, err) == (3, "")
+    doc = json.loads(out)
+    assert doc["verified"] is False
+    assert doc["messages"] == ["cached result differs from recomputation"]
 
 
 def test_verify_job_fails_a_failed_check(tmp_path, capsys, monkeypatch):
@@ -605,9 +660,15 @@ PLANE = {"ideals": [{"gens": [[1, 0], [0, 1]]}]}
     _with(COMPUTE_JOB, flag_ideal=PLANE, variety={
         "type": "polytope", "vertices": [[0, 0], [1, 0], [0, 1]],
         "chart_vertex": [False, 0]}),
+    _with(COMPUTE_JOB, r=float("inf")),
+    _with(COMPUTE_JOB, variety={"type": "box", "sides": [1, float("-inf")]},
+          flag_ideal=PLANE),
+    _with(COMPUTE_JOB, flag_ideal=PLANE, variety={
+        "type": "polytope", "vertices": [[0, 0], [float("inf"), 0], [0, 1]]}),
 ], ids=["r", "generator", "K_range", "r_bool", "generator_bool",
         "guard_bool", "sides_bool", "n_bool", "vertex_bool",
-        "chart_vertex_bool"])
+        "chart_vertex_bool", "r_infinite", "sides_infinite",
+        "vertex_infinite"])
 def test_non_integral_numbers_exit_one(tmp_path, capsys, job):
     code, out, err = run(capsys, ["compute", "--job", write_job(tmp_path, job)])
     assert code == 1
@@ -631,9 +692,11 @@ def test_non_integral_numbers_exit_one(tmp_path, capsys, job):
     {"N_max": 1, "d_max": 2, "g_max": 1, "r_list": [True]},
     {"N_max": 1, "d_max": 2, "g_max": 1, "r_list": []},
     {"N_max": 1, "d_max": 2, "g_max": 1, "r_list": [1, 1]},
+    {"N_max": float("inf"), "d_max": 2, "g_max": 1, "r_list": [1]},
 ], ids=["N_max", "d_max", "g_max", "r_list", "string", "r_zero",
         "N_max_negative", "N_max_zero", "d_max_zero", "g_max_zero",
-        "N_max_bool", "r_list_bool", "r_list_empty", "r_list_repeat"])
+        "N_max_bool", "r_list_bool", "r_list_empty", "r_list_repeat",
+        "N_max_infinite"])
 def test_bad_search_bounds_exit_one(tmp_path, capsys, bounds):
     job = _with(SEARCH_JOB, bounds=bounds)
     code, out, err = run(capsys, ["search", "--job", write_job(tmp_path, job)])

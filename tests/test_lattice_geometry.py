@@ -268,9 +268,9 @@ def test_intersection_numbers_match_triangulation(points):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3).flatmap(point_sets))
-def test_chart_matrix_inverts_the_edge_matrix(points):
-    # chart_matrix is read from the tight normals, not by inverting the
-    # edge matrix; each row must still be dual to one edge direction
+def test_chart_normals_invert_the_edge_matrix(points):
+    # the chart facets are read from the tight facets, not by inverting the
+    # edge matrix; each one's normal must still be dual to one edge direction
     poly = polytope_of(points)
     assume(poly is not None)
     for v in poly.vertices:
@@ -278,11 +278,12 @@ def test_chart_matrix_inverts_the_edge_matrix(points):
             var = make_variety(poly.vertices, v)
         except NonUnimodularChartVertex:
             continue
+        rows = [poly.facets[i][0] for i in var.chart_facets]
         assert [[dot(row, e) for e in var.edge_directions]
-                for row in var.chart_matrix] == \
+                for row in rows] == \
             [[int(i == j) for j in range(poly.dim)] for i in range(poly.dim)]
         assert all(row in [a for a, c in poly.facets if dot(a, v) == c]
-                   for row in var.chart_matrix)
+                   for row in rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,26 +293,29 @@ def test_chart_matrix_inverts_the_edge_matrix(points):
 def test_incidence_matches_a_scan_at_every_vertex(points):
     # smooth, maximal_charts() and the edge frame read the vertex-facet
     # incidence that make_variety keeps; the reference scans every vertex
-    # against every facet and inverts the tight normals
+    # against every facet and inverts the tight normals.  The same scan
+    # gives each facet's width, the largest <a, v> - c over the vertices
     var = variety_of(points)
     assume(var is not None)
     poly = var.polytope
     scan = tuple(tuple(i for i, (a, c) in enumerate(poly.facets)
                        if dot(a, v) == c) for v in poly.vertices)
     assert var.maximal_charts() == scan
+    assert poly.widths == tuple(max(dot(a, v) - c for v in poly.vertices)
+                                for a, c in poly.facets)
     normals = [[poly.facets[i][0] for i in on] for on in scan]
     smooth = [len(t) == poly.dim and abs(oracles.det(t)) == 1
               for t in normals]
     assert var.smooth == all(smooth)
-    for v, tight, ok in zip(poly.vertices, normals, smooth):
+    for v, on, tight, ok in zip(poly.vertices, scan, normals, smooth):
         if not ok:
             with pytest.raises(NonUnimodularChartVertex):
                 make_variety(poly.vertices, v)
             continue
         at = make_variety(poly.vertices, v)
-        frame = sorted(zip(zip(*oracles.inverse(tight)), tight), reverse=True)
+        frame = sorted(zip(zip(*oracles.inverse(tight)), on), reverse=True)
         assert at.edge_directions == tuple(e for e, _ in frame)
-        assert at.chart_matrix == tuple(a for _, a in frame)
+        assert at.chart_facets == tuple(i for _, i in frame)
 
 
 def test_edge_steps_are_divided_by_their_gcd():
@@ -321,7 +325,8 @@ def test_edge_steps_are_divided_by_their_gcd():
     assert v.edge_directions == ((1, 0), (0, 1))
     far = make_variety(v.polytope.vertices, (3, 0))
     assert far.edge_directions == ((-1, 1), (-1, 0))
-    assert far.chart_matrix == ((0, 1), (-1, -1))
+    assert tuple(far.polytope.facets[i][0] for i in far.chart_facets) == \
+        ((0, 1), (-1, -1))
     assert far.chart_coords((0, 3), 1) == (3, 0)
 
 
@@ -374,9 +379,9 @@ def test_maximal_charts_have_dim_many_facets_when_smooth():
         assert len(chart) == 2
 
 
-def test_chart_facet_indices_bijection():
+def test_chart_facets_bijection():
     v = hirzebruch_anticanonical()
-    idx = v.chart_facet_indices()
+    idx = v.chart_facets
     assert len(set(idx)) == v.dim
     # each listed facet is tight at the chart vertex
     for i in idx:

@@ -534,7 +534,7 @@ def test_a_chart_flag_keeps_the_chart_of_its_vertex(case, r):
     assume(not flag.trivial)
     stepper = LevelStepper(variety, flag, r)
     assert [ch.idxs for ch in stepper._charts] == \
-        [tuple(sorted(variety.chart_facet_indices()))]
+        [tuple(sorted(variety.chart_facets))]
     for k in (1, 2):
         assert we._weight(stepper.advance(k), k * r,
                           variety.dilate_fibres(k * r)) == \
@@ -551,7 +551,7 @@ def test_cox_lift_is_the_validated_lifted_chain(case):
     variety, flag = case
     assume(not flag.trivial)
     nf = len(variety.polytope.facets)
-    idx = variety.chart_facet_indices()
+    idx = variety.chart_facets
 
     def pad(g):
         e = [0] * nf
