@@ -94,14 +94,15 @@ def lower_hull_integral(variety, flag, r):
 def _check_exponent(variety, np_, r):
     """ExponentTooSmall unless every support point on the Newton
     polyhedron's compact facets projects into the chart image of rP
-    (boundary allowed), where phi lives.  That image is convex, so this is
-    the same verdict as for the facets' vertices alone; the points lie in
-    the orthant, so only the facets of P can exclude them.  A point on
-    several facets is tested once, in the order of its first appearance,
-    so the error names the first point in facet order that fails."""
+    (boundary allowed), where phi lives: <b, y> >= r * d on the facets of
+    chart_inequalities off the chart (d != 0).  That image is convex, so
+    this is the same verdict as for the facets' vertices alone.  A point
+    on several facets is tested once, in the order of its first
+    appearance, so the error names the first point in facet order that
+    fails."""
+    cuts = [(b, r * d) for b, d in variety.chart_inequalities if d]
     for p in dict.fromkeys(p for f in np_.facets for p in f.points):
-        u = variety.point_from_chart(p[:-1], r)
-        if any(dot(a, u) < r * c for a, c in variety.polytope.facets):
+        if any(dot(b, p) < rd for b, rd in cuts):
             raise ExponentTooSmall(
                 "newton polyhedron support point %r leaves the chart "
                 "polytope at exponent r=%d" % (tuple(p[:-1]), r))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, product
-from math import gcd, prod
+from math import comb, gcd, prod
 
 from .errors import (
     InconsistentVertices,
@@ -81,8 +81,18 @@ class PolarizedToricVariety:
         return [p + (x,) for p, lo, hi in zip(prefixes, fib.los, fib.his)
                 for x in range(lo, hi + 1)]
 
+    @cached_property
+    def _ehrhart_differences(self):
+        """The i-th forward differences at 0 of h(k) = #(kP), i = 0..n: h is
+        a polynomial of degree n, fixed by the counts of 0P..nP."""
+        h = [1] + [self.dilate_fibres(k).count for k in range(1, self.dim + 1)]
+        return [sum((-1) ** (i - j) * comb(i, j) * h[j] for j in range(i + 1))
+                for i in range(len(h))]
+
     def ehrhart_count(self, k):
-        return self.dilate_fibres(k).count
+        """#(kP) for k >= 0 from P's Ehrhart polynomial in Newton's form."""
+        return sum(d * comb(k, i)
+                   for i, d in enumerate(self._ehrhart_differences))
 
     def intersection_numbers(self):
         """(L^n, L^(n-1).K) for the polarization L and canonical divisor K."""
@@ -103,6 +113,24 @@ class PolarizedToricVariety:
                 "point %r is outside the chart cone of %r at scale %d"
                 % (tuple(u), self.chart_vertex, scale))
         return y
+
+    @cached_property
+    def chart_inequalities(self):
+        """P in chart coordinates (chart_coords): per facet (a, c), (b, d)
+        with b_j = <a, e_j> on edge j and d = c - <a, v0>, so y is in sP iff
+        <b, y> >= s * d on every facet; a chart facet has d = 0."""
+        v0 = self.chart_vertex
+        return tuple((tuple(dot(a, e) for e in self.edge_directions),
+                      c - dot(a, v0)) for a, c in self.polytope.facets)
+
+    def chart_box(self, r, side):
+        """Q = {0 <= y <= side} meet rP in chart coordinates, for fibres:
+        its vertices are the box's corners 0 and side, and its facets the
+        (b, r * d) of chart_inequalities that cut the box, if any."""
+        cut = tuple((b, r * d) for b, d in self.chart_inequalities
+                    if sum(x * e for x, e in zip(b, side) if x < 0) < r * d)
+        return LatticePolytope(self.dim, ((0,) * self.dim, tuple(side)),
+                               cut, (), ())
 
     def point_from_chart(self, y, scale):
         """Inverse of chart_coords; accepts rational chart coordinates."""
@@ -133,7 +161,8 @@ class Fibres:
 
 
 def fibres(poly, k):
-    """The lattice points of kP as Fibres, with no empty fibre.
+    """The lattice points of kP as Fibres, with no empty fibre; P may be a
+    chart box (PolarizedToricVariety.chart_box).
 
     The prefixes run through the box over the first n-1 coordinates in
     lexicographic order, and the bounds are columns over that grid.  For

@@ -17,7 +17,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from operator import add, le
+from sys import maxsize
 
 from .errors import (
     ChainViolation,
@@ -296,6 +298,7 @@ class LevelStepper:
             if flag.support != "point":
                 raise UnsupportedMode("chart-mode counting needs ideals "
                                       "supported at the chart point")
+            self._frame = variety.chart_facets
             flag = cox_lift(variety, flag)
         elif not variety.smooth:
             raise UnsupportedMode("cox-mode counting needs a smooth polytope")
@@ -321,6 +324,9 @@ class LevelStepper:
         self.k += 1
         for ch in self._charts:
             shape = [self.k * e + 1 for e in ch.side]
+            if prod(shape) > maxsize:
+                raise InvalidInput("the level table of J^%d has %d cells, "
+                                   "too many to index" % (self.k, prod(shape)))
             old = _pad(ch.table, ch.shape, shape)
             strides = _strides(shape)
             new = [x + self.big_n for x in old]
@@ -365,6 +371,17 @@ class LevelStepper:
             out.append((weights, dot(strides, ch.offs),
                         _pad(ch.table, ch.shape, shape)))
         return out
+
+    def chart_tables(self, k):
+        """A chart flag's [(A, 0, table)] for J^k, g_k(y) = table[<A, y>] at
+        chart coordinates 0 <= y <= k * side: its one kept table, stepped up
+        to k and unpadded, A its strides in the order of the variables."""
+        while self.k < k:
+            self.step()
+        ch, = self._charts
+        strides = _strides(ch.shape)
+        return [(tuple(strides[ch.idxs.index(f)] for f in self._frame), 0,
+                 ch.table)]
 
 
 def t_degree(variety, flag, r, k, u):

@@ -14,7 +14,7 @@ is integer or Fraction arithmetic; nothing is rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import factorial
 
@@ -26,6 +26,7 @@ from .errors import (
 )
 from .intersection_engine import df_intersection
 from .intlinalg import dot
+from .lattice_geometry import fibres
 from .monomial_algebra import LevelStepper, pure_powers
 
 
@@ -161,22 +162,21 @@ def fit_polynomial(samples, max_degree, guard=2):
 def weight_at(variety, flag, r, k):
     """W(k) for the stripped flag: minus the total level over krP.
 
-    Levels come from LevelStepper.advance: one integer table per kept chart
-    holding the least level of J^k that contains each chart exponent vector
-    of krP; a chart flag is counted as its cox lift, on one kept chart.  A
-    point's level is the largest of its table entries, each read at one
-    affine functional of the point; over a fibre of krP each chart's
-    entries are one stepped slice of its table (see _weight), so no point
-    is built.  The reference is the literal expansion of J^k in
+    Levels come from LevelStepper tables of J^k, each read at an affine
+    functional of a point, one stepped slice per fibre (see _weight), so
+    no point is built.  A cox flag reads advance's tables over krP.  A
+    chart flag's level is 0 where some chart coordinate y_i >= k * D_i
+    (_side), so it reads chart_tables over the staircase box k * Q (see
+    _walk) only.  The reference is the literal expansion of J^k in
     tests/oracles.py, which shares no code with this.
     """
     return weight_sequence(variety, flag, r, (k,))[k]
 
 
 def _weight(tables, scale, fib):
-    """Minus the total level over krP, on its Fibres fib, scale = k * r,
-    from level tables (A, C, table): the chart tables of J^k, or the
-    closure tables of _closure_tables.  No table weighs 0.
+    """Minus the total level over the Fibres fib of a dilate at scale (krP
+    at k * r, or k * Q at k; see _walk), from level tables (A, C, table) of
+    J^k or of _closure_tables; no table weighs 0, reading no fib.
 
     Over a fibre the flat index <A, u> - scale * C of a table is
     b + a * x for lo <= x <= hi, with a = A[-1] and b = <A', p> - scale *
@@ -185,7 +185,7 @@ def _weight(tables, scale, fib):
     Each table's offsets b are one column over the fibres, built from the
     prefix axis columns.  Each point's level is the largest over the
     tables.  A slice past the end of a table comes back short, so a table
-    that does not cover the fib.count points of krP raises
+    that does not cover the fib.count points of the dilate raises
     ConsistencyError."""
     levels = None
     for weights, c, table in tables:
@@ -228,93 +228,106 @@ def weight_sequence(variety, flag, r, ks):
     return {k: sample(k)[1] for k in ks}
 
 
+def _strip(flag):
+    """(m, the flag less its first m ideals, all zero, as only a chain not
+    from validate_flag_ideal has): each level of J^k is k * m over theirs."""
+    m = next((j for j, i in enumerate(flag.chain) if not i.is_zero),
+             len(flag.chain))
+    return m, replace(flag, chain=flag.chain[m:]) if m else flag
+
+
+def _side(flag):
+    """D, the pure powers of I_0 of a point-supported chart flag: the table
+    of J^k is stepped on the box of side k * D, and J^k and its closure
+    hold x_i^(k D_i), so both levels are 0 where some y_i >= k * D_i."""
+    return pure_powers(flag.chain[0].gens, range(flag.nvars))
+
+
 def _walk(variety, flag, r, closure):
     """sample(k) -> (h(k), W(k), the closure weight or None), for k
     increasing across calls.
 
-    Each sample reads the Fibres of krP from the variety's fibre store
-    (PolarizedToricVariety.dilate_fibres), so krP is enumerated once per
-    variety, whichever walk, record or r asks for it first, and all three
-    counts are fed from that one entry, h(k) being its stored count; only
-    the integers are kept.  W reads one LevelStepper, so the level tables
-    of J^k are stepped from those of J^(k-1) on the charts that can hold a
-    point's level; a trivial flag has no stepper and weighs 0.  The closure
-    weight is counted only when closure is set, by the same _weight from
-    _closure_tables, whose facet data is built once for the walk.
+    W reads one LevelStepper, which steps J^k from J^(k-1); a trivial flag
+    has none and weighs 0.  A cox flag reads krP from the variety's fibre
+    store (dilate_fibres), h(k) being its count.  A chart flag reads the
+    fibres of k * Q, Q = PolarizedToricVariety.chart_box(r, _side(flag))
+    built once per walk, and h(k) is ehrhart_count(k * r), as for a
+    trivial flag: no krP is enumerated.  The closure weight is counted only
+    when closure is set, over the same fibres, from _closure_tables.
     """
+    m, flag = _strip(flag)
     stepper = None if flag.trivial else LevelStepper(variety, flag, r)
+    box = variety.chart_box(r, _side(flag)) \
+        if stepper and flag.mode == "chart" else None
     facets = _closure_facets(variety, flag, r) if closure else None
 
     def sample(k):
-        fib = variety.dilate_fibres(k * r)
-        return (fib.count,
-                _weight(stepper.advance(k), k * r, fib) if stepper else 0,
-                _weight(_closure_tables(facets, r, k), k * r, fib)
+        if stepper and box is None:
+            fib = variety.dilate_fibres(k * r)
+            h, tables, scale = fib.count, stepper.advance(k), k * r
+        else:
+            # the table first, so that one too large to index raises before
+            # the box is enumerated; a trivial flag reads no table
+            tables = stepper.chart_tables(k) if stepper else []
+            fib = box and fibres(box, k)
+            h, scale = variety.ehrhart_count(k * r), k
+        return (h, _weight(tables, scale, fib) - k * m * h,
+                _weight(_closure_tables(facets, r, k), scale, fib) - k * m * h
                 if closure else None)
 
     return sample
 
 
 def closure_weight_at(variety, flag, r, k):
-    """Weight computed from the lower hull: levels ceil(k * phi(u / k)).
+    """Weight computed from the lower hull: levels ceil(k * phi(y / k)).
 
     Counting against the hull rather than the ideal powers gives the
     integral closure's weight; it never exceeds the true level count.
-    The count is integer-exact: the levels are read from _closure_tables
-    over the fibres in the variety's fibre store, and
-    ceil(k * phi_value(np, y / k)) at the chart coordinates y stays the
-    per-point reference.  A negative k raises InvalidInput.
+    The levels are read from _closure_tables over the chart box k * Q of
+    _walk, outside which they are 0; ceil(k * phi_value(np, y / k)) at the
+    chart coordinates y of krP is the per-point reference.  A negative k
+    raises InvalidInput.
     """
     _check_k(k)
-    return _weight(_closure_tables(_closure_facets(variety, flag, r), r, k),
-                   k * r, variety.dilate_fibres(k * r))
+    m, flag = _strip(flag)
+    facets = _closure_facets(variety, flag, r)
+    shift = k * m * variety.ehrhart_count(k * r) if m else 0
+    fib = facets and fibres(variety.chart_box(r, _side(flag)), k)
+    return _weight(_closure_tables(facets, r, k), k, fib) - shift
 
 
 def _closure_facets(variety, flag, r):
-    """Per compact facet f of the Newton polyhedron, (a, lo, hi, e, t):
-    what _closure_tables needs of f at every k, built once per walk.
+    """Per compact facet f of the Newton polyhedron, (w, 0, <w, D>, order,
+    t): what _closure_tables needs of f at every k, built once per walk.
 
-    With y the chart coordinates of u, k * phi(y / k) = max(0, max_f
-    (k * order_f - <w_f, y>) / t_f) over the compact facets f, whose
-    normals (w_f, t_f) are strictly positive, so t = t_f > 0.  Folding the
-    chart map y_j = <a_j, u> - k r c_j, (a_j, c_j) chart facet j, into the
-    facet functional, a = sum_j w_j a_j and e = order_f + r lo, the facet's
-    level max(0, ceil((k e - s) / t)) depends on u only through s = <a, u>,
-    which runs over k r lo .. k r hi, lo and hi the least and largest <a, v>
-    over P; lo = sum_j w_j c_j = <a, v0>, as every w_j > 0.
+    At chart coordinates y, k * phi(y / k) = max(0, max_f (k * order_f -
+    <w_f, y>) / t_f) over the compact facets f, whose normals (w_f, t_f)
+    are strictly positive; on the box 0 <= y <= k * D, D = _side(flag),
+    <w, y> runs over 0 .. k <w, D>.  The variety and r do not enter.
     """
-    facets = variety.polytope.facets
-    normals, offs = zip(*(facets[i] for i in variety.chart_facets))
-    out = []
-    for f in flag.polyhedron.facets:
-        w, t = f.normal[:-1], f.normal[-1]
-        assert t > 0
-        a = tuple(dot(w, col) for col in zip(*normals))
-        lo = dot(w, offs)
-        out.append((a, lo, max(dot(a, v) for v in variety.polytope.vertices),
-                    f.order + r * lo, t))
-    return out
+    return [(f.normal[:-1], 0, dot(f.normal[:-1], _side(flag)), f.order,
+             f.normal[-1]) for f in flag.polyhedron.facets]
 
 
 def _closure_tables(facets, r, k):
-    """The closure levels of krP as level tables (a, lo, table) for _weight
-    at scale k * r, one per entry (a, lo, hi, e, t) of _closure_facets.
+    """The closure levels of k * Q as level tables (w, 0, table) for _weight,
+    one per entry (w, 0, hi, order, t) of _closure_facets.
 
     The ceiling of a maximum is the maximum of the ceilings, so each facet
-    gives one table, indexed by s - k r lo as _weight reads a chart table,
-    of its levels max(0, ceil((k e - s) / t)).
+    gives one table of its levels max(0, ceil((k * order - s) / t)) at
+    s = <w, y> = 0 .. k * hi.  r does not enter.
     """
     tables = []
-    for a, lo, hi, e, t in facets:
+    for w, c, hi, order, t in facets:
         # ceil(m / t) == (m + t - 1) // t for t > 0
-        top = k * e + t - 1
-        tables.append((a, lo, [max(0, (top - s) // t)
-                               for s in range(k * r * lo, k * r * hi + 1)]))
+        top = k * order + t - 1
+        tables.append((w, c, [max(0, (top - s) // t)
+                              for s in range(k * hi + 1)]))
     return tables
 
 
 def hilbert_at(variety, r, k):
-    """h(k), the lattice points of krP; a negative k raises InvalidInput."""
+    """h(k) = #krP, P's Ehrhart polynomial at k r; k < 0 is InvalidInput."""
     _check_k(k)
     return variety.ehrhart_count(k * r)
 

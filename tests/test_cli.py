@@ -845,6 +845,18 @@ def test_misshapen_jobs_exit_one(tmp_path, capsys, job):
     assert "Traceback" not in err
 
 
+def test_a_level_table_too_large_to_index_exits_one(tmp_path, capsys):
+    # x^(10^20) puts 10^20 + 1 cells on one axis of the level table of J
+    job = {"variety": {"type": "projective_space", "n": 2, "d": 2},
+           "flag_ideal": {"ideals": [{"gens": [[10 ** 20, 0], [0, 1]]}]},
+           "r": 1}
+    code, out, err = run(capsys, ["compute", "--job", write_job(tmp_path, job)])
+    assert code == 1
+    assert out == ""
+    assert err == ("invalid input: the level table of J^1 has "
+                   "200000000000000000002 cells, too many to index\n")
+
+
 def test_compute_on_the_stock_hirzebruch_surface(tmp_path, capsys):
     # m on F1 with its anticanonical polarization at r = 2
     job = {"variety": {"type": "hirzebruch"},

@@ -25,7 +25,6 @@ from dflab.intersection_engine import (
     lower_hull_integral,
 )
 from dflab.lattice_geometry import (
-    PolarizedToricVariety,
     box,
     hirzebruch_anticanonical,
     make_variety,
@@ -75,16 +74,18 @@ def test_exponent_guard_fires_on_short_sections():
 def test_exponent_guard_tests_each_support_point_once(monkeypatch):
     # (x^2, y^3, xy) on P^2(1): the compact facets hold (0, 0), (1, 1),
     # (2, 0) and (0, 0), (0, 3), (1, 1), so (0, 0) and (1, 1) lie on both.
-    # Each point is mapped once, in order of first appearance, and the
-    # error names the first point in facet order that leaves rP
+    # Each point is tested once, in order of first appearance, against the
+    # facets of P in chart coordinates: P^2 has one facet off the chart,
+    # so one dot product per point.  The error names the first point in
+    # facet order that leaves rP
     calls = []
-    to_chart = PolarizedToricVariety.point_from_chart
+    dot = ie.dot
 
-    def recorded(self, y, scale):
-        calls.append(tuple(y))
-        return to_chart(self, y, scale)
+    def recorded(b, p):
+        calls.append(tuple(p[:-1]))
+        return dot(b, p)
 
-    monkeypatch.setattr(PolarizedToricVariety, "point_from_chart", recorded)
+    monkeypatch.setattr(ie, "dot", recorded)
     v = projective_space(2, 1)
     flag = flag_of([[(2, 0), (0, 3), (1, 1)]], 2)
     assert [len(f.points) for f in flag.polyhedron.facets] == [3, 3]

@@ -209,6 +209,17 @@ def test_fibres_match_the_prefix_walk(points):
         assert v.ehrhart_count(k) == len(want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(point_sets))
+@example(FLAT_FACETS[2])
+def test_ehrhart_count_is_the_polynomial_of_the_counts(points):
+    # ehrhart_count evaluates the polynomial through the counts of 0P..nP
+    v = variety_of(points)
+    assume(v is not None)
+    for k in range(13):
+        assert v.ehrhart_count(k) == v.dilate_fibres(k).count
+
+
 def test_empty_fibre_example_skips_a_prefix():
     poly = polytope_of(EMPTY_FIBRE)
     signs = {(a[-1] > 0) - (a[-1] < 0) for a, c in poly.facets}

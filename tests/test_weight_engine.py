@@ -763,9 +763,10 @@ def test_weight_of_no_tables_is_zero():
 
 def test_df_counting_reads_the_closure_through_weight(monkeypatch):
     # a point-supported chart flag's closure count is a second _weight
-    # call per sample, on the same fibres; (x^3, y^3) is not integrally
-    # closed, so the two calls at a scale return different weights.  A
-    # cox flag counts no closure: one call per sample.
+    # call per sample, on the same fibres, those of the chart box k * Q at
+    # scale k; (x^3, y^3) is not integrally closed, so the two calls at a
+    # scale return different weights.  A cox flag counts no closure: one
+    # call per sample, over krP at scale k * r.
     calls = []
     weight = we._weight
 
@@ -783,10 +784,10 @@ def test_df_counting_reads_the_closure_through_weight(monkeypatch):
     monkeypatch.undo()
     assert report.integrally_closed is False
     assert report.closure_df == 15
-    ks = range(1, chart_calls[-1][0] // 2 + 1)
+    ks = range(1, chart_calls[-1][0] + 1)
     assert chart_calls == sorted(
-        [(2 * k, weight_at(v, flag, 2, k)) for k in ks]
-        + [(2 * k, closure_weight_at(v, flag, 2, k)) for k in ks])
+        [(k, weight_at(v, flag, 2, k)) for k in ks]
+        + [(k, closure_weight_at(v, flag, 2, k)) for k in ks])
     assert [scale for scale, _ in calls] == list(range(3, 10))
 
 
@@ -897,6 +898,43 @@ def test_closure_weight_matches_phi_reference(case, r, k):
         reference_closure_weight(variety, flag, r, k)
 
 
+# a chart flag is counted over the chart box k * Q: its W and closure
+# weight must be those read over all of krP.  The reference for W is the
+# stepper's tables padded to krP (advance) over the fibres of krP.
+CUT_BOX = (projective_space(2, 2), flag_of([[(3, 0), (0, 3)]], 2))
+INNER_BOX = (projective_space(2, 5), flag_of([[(2, 0), (0, 1)]], 2))
+
+
+def test_chart_box_keeps_the_facets_of_rp_that_cut_it():
+    # at r = 2 the box [0, 3]^2 leaves 2P = x + y <= 4 at its far corner;
+    # at r = 3 the box [0, 2] x [0, 1] lies inside the triangle of side 15
+    (v, flag), r = CUT_BOX, 2
+    assert we._side(flag) == (3, 3)
+    assert v.chart_box(r, (3, 3)).facets == (((-1, -1), -4),)
+    (v, flag), r = INNER_BOX, 3
+    assert we._side(flag) == (2, 1)
+    assert v.chart_box(r, (2, 1)).facets == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(chart_flags(), st.integers(1, 2))
+@example(CUT_BOX, 2)
+@example(INNER_BOX, 3)
+# F1 charted at (3, 2): the chart's variables are not in facet order, so
+# the stepped table's strides are put in the variables' order
+@example((CLOSURE_VARIETIES[-1], flag_of([[(3, 0), (0, 2)]], 2)), 1)
+def test_chart_box_reads_match_the_dilate(case, r):
+    variety, flag = case
+    assume(not flag.trivial)
+    sample = we._walk(variety, flag, r, closure=True)
+    stepper = LevelStepper(variety, flag, r)
+    for k in (1, 2, 3):
+        fib = variety.dilate_fibres(k * r)
+        assert sample(k) == (
+            fib.count, we._weight(stepper.advance(k), k * r, fib),
+            reference_closure_weight(variety, flag, r, k))
+
+
 def test_df_counting_closure_samples_match_phi_reference(monkeypatch):
     # the walk builds each compact facet's closure data once and only the
     # tables at each k; on F1 charted at (3, 2), (x^3, y^2) has one compact
@@ -940,33 +978,37 @@ def test_df_counting_enumerates_each_sample_once(monkeypatch):
     v = projective_space(2, 2)
     flag = flag_of([[(2, 0), (1, 1), (0, 2)]], 2)
     r = 3
-    scales = []
+    boxes = []
+    dilates = []
     hilbert_ks = []
     enumerate_fibres = lg.fibres
     hilbert = we.hilbert_at
 
     def counted_fibres(poly, k):
-        scales.append(k)
+        (dilates if poly is v.polytope else boxes).append((poly, k))
         return enumerate_fibres(poly, k)
 
     def counted_hilbert(variety, r_, k):
         hilbert_ks.append(k)
         return hilbert(variety, r_, k)
 
-    # every enumeration of krP goes through fibres, from the variety's
-    # fibre store, which the walk, lattice_points and ehrhart_count read
+    # every enumeration goes through fibres: the walk's chart box from
+    # the weight engine, and the dilates of P from the variety's fibre
+    # store, which lattice_points and the Ehrhart polynomial read
     monkeypatch.setattr(lg, "fibres", counted_fibres)
+    monkeypatch.setattr(we, "fibres", counted_fibres)
     monkeypatch.setattr(we, "hilbert_at", counted_hilbert)
     report = df_counting(v, flag, r)
     assert report.df == 21
-    # one enumeration per weight sample k, at the scale k * r; a second
-    # count on the same variety reads the store and enumerates nothing
-    assert v.ehrhart_count(scales[-1]) == report.hilbert_poly(
-        scales[-1] // r)
-    sampled = [s // r for s in scales]
-    assert all(s % r == 0 for s in scales)
+    # one enumeration of the chart box Q per weight sample k, at scale k;
+    # a chart flag enumerates no krP, only 1P..nP for h
+    assert len({id(q) for q, _ in boxes}) == 1
+    sampled = [k for _, k in boxes]
     assert sorted(sampled) == list(range(1, len(sampled) + 1))
     assert len(sampled) >= v.dim + 6
+    assert [k for _, k in dilates] == [1, 2]
+    assert v.ehrhart_count(r * sampled[-1]) == report.hilbert_poly(
+        sampled[-1])
     # the Hilbert fit reads the counts of the sampled k, never hilbert_at
     assert hilbert_ks == []
 
@@ -1123,13 +1165,14 @@ def test_trivial_flag_window_is_decided_by_the_hilbert_fit():
 
 def test_hilbert_fit_shares_the_weight_window(monkeypatch):
     # the weight of m on P^2 needs more than the window (3, 4), so the
-    # window is extended; h fitted on the extended window is the same
-    # polynomial, valid from the same k0, as hilbert_polynomial's fit
+    # window is extended, and the walk samples its chart box past k = 4;
+    # h fitted on the extended window is the same polynomial, valid from
+    # the same k0, as hilbert_polynomial's fit
     v = projective_space(2, 1)
     options = FitOptions(window=(3, 4))
     scales = []
-    enumerate_fibres = lg.fibres
-    monkeypatch.setattr(lg, "fibres", lambda poly, k: scales.append(k)
+    enumerate_fibres = we.fibres
+    monkeypatch.setattr(we, "fibres", lambda poly, k: scales.append(k)
                         or enumerate_fibres(poly, k))
     rep = df_counting(v, flag_of([[(1, 0), (0, 1)]], 2), 1, options)
     monkeypatch.undo()
