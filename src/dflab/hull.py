@@ -1,6 +1,8 @@
-"""Exact convex-hull primitives by exhaustive subset enumeration.
+"""Exact convex-hull primitives: planar rings and exhaustive subset search.
 
-Point counts here are small (tens, not thousands), so facets are found by
+Point counts here are small (tens, not thousands).  In R^2 the facets are
+the edges of the counterclockwise vertex ring, built by Andrew's monotone
+chain with integer cross products.  In R^d for d >= 3 they are found by
 trying every d-subset for a supporting hyperplane, depth-first in
 lexicographic order: the subsets on one prefix share the minors of its
 difference rows, each prefix row being expanded once (intlinalg's
@@ -16,8 +18,9 @@ its affine hull, integer points staying integer), its vertices are the
 points whose facet normals have rank m.  The one volume the library
 computes, the lattice volume of a set on a hyperplane, is the gcd of the
 minors of the difference rows for a simplex, built by the same
-extend_minors, and otherwise a facet sum one dimension down that stops at
-simplices; triangulations stay as the tests' reference.  All answers are
+extend_minors, the shoelace sum over the vertex ring for a polygon, and
+otherwise a facet sum one dimension down that stops at simplices and
+polygons; triangulations stay as the tests' reference.  All answers are
 exact.
 """
 
@@ -55,18 +58,21 @@ def facets_of_points(points):
     A set of affine rank d in R^d gets its facets.  A set of rank d - 1
     spans one hyperplane and gets it in both orientations, each holding
     every point; a set of lower rank spans no hyperplane and gets none.
-    In R^1 the facets are the two ends, the lower one first.
+    In R^1 the facets are the two ends, the lower one first.  In R^2 they
+    are the edges of the counterclockwise vertex ring (_ring), each
+    holding the points on its line.
 
-    The d-subsets are walked depth-first in lexicographic order.  The
-    minors of a prefix's difference rows are extended from those of its
-    own prefix by one row, once a subset through it is tried, so the
-    subsets on one prefix share its expansion.  A prefix whose minors all
-    vanish is dropped, since no subset through it spans a hyperplane.  A
-    subset inside a facet found already spans its hyperplane or none and
-    is skipped unexpanded; each other subset gets its normal from
-    hyperplane_normal and is a facet when no point lies on one side.
-    Rational points are scaled once to integer ones with the same
-    normals; offsets are read from the points as given.
+    In R^d for d >= 3, the d-subsets are walked depth-first in
+    lexicographic order.  The minors of a prefix's difference rows are
+    extended from those of its own prefix by one row, once a subset
+    through it is tried, so the subsets on one prefix share its
+    expansion.  A prefix whose minors all vanish is dropped, since no
+    subset through it spans a hyperplane.  A subset inside a facet found
+    already spans its hyperplane or none and is skipped unexpanded; each
+    other subset gets its normal from hyperplane_normal and is a facet
+    when no point lies on one side.
+    In any dimension, rational points are scaled once to integer ones
+    with the same normals; offsets are read from the points as given.
     """
     points = sorted(set(tuple(p) for p in points))
     d = len(points[0])
@@ -75,6 +81,21 @@ def facets_of_points(points):
         return [Facet((1,), lo, ((lo,),)), Facet((-1,), -hi, ((hi,),))]
     ints = points if all(type(x) is int for p in points for x in p) \
         else _int_rows(points)[0]
+    if d == 2:
+        # the edge from u to v of the counterclockwise ring has inner
+        # normal (u_y - v_y, v_x - u_x) over its content; a collinear
+        # set's ring of two ends gives its line in both orientations
+        ring = _ring(ints)
+        out = []
+        for u, v in zip(ring, ring[1:] + ring[:1]):
+            a, b = u[1] - v[1], v[0] - u[0]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            c = a * u[0] + b * u[1]
+            held = tuple(p for p, q in zip(points, ints)
+                         if a * q[0] + b * q[1] == c)
+            out.append(Facet((a, b), dot((a, b), held[0]), held))
+        return sorted(out, key=lambda f: f.normal)
     n = len(points)
     seen = {}
     done = set()
@@ -140,6 +161,25 @@ def facets_of_points(points):
     for i in range(n - d + 1):
         walk((i,), (ints[i],), (1,))
     return [seen[k] for k in sorted(seen)]
+
+
+def _ring(pts):
+    """Counterclockwise vertex ring of pts, sorted distinct integer points
+    of Z^2, by Andrew's monotone chain: the lower chain left to right and
+    the upper one back, each popping a point that does not make a left
+    turn.  Points on an edge are dropped; a collinear set gives its two
+    ends and a single point none."""
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) > 1:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0:
+                    break
+                out.pop()
+            out.append(p)
+        return out[:-1]
+    return chain(pts) + chain(reversed(pts))
 
 
 def point_in_convex_hull(q, points):
@@ -262,7 +302,10 @@ def lattice_volume(points, normal):
     Any other set drops coordinate i, the last nonzero entry of the
     normal, which maps the lattice of the hyperplane onto a sublattice of
     Z^(d-1) of index |normal[i]| (the normal is primitive), so the volume
-    is the normalized volume of the projection Q over |normal[i]|.  For Q
+    is the normalized volume of the projection Q over |normal[i]|.  In
+    R^3, Q is a polygon, and its normalized area is the shoelace sum
+    |sum of a x b| over the consecutive vertices a, b of its ring; a Q on
+    a line has a ring of two ends and area 0.  In R^d for d >= 4, for Q
     full-dimensional and any point v of Q, coning Q from v over its
     facets G gives the facet sum
 
@@ -270,9 +313,9 @@ def lattice_volume(points, normal):
 
     with a_G the primitive inner normal and c_G the offset of G, and
     vol(G) the lattice volume of G, read by this function in one dimension
-    less, where it stops at the facets that are simplices.  A Q of lower
-    dimension has no facets and volume 0.  A normal that is not primitive
-    is rejected.
+    less, where it stops at the facets that are simplices or polygons.  A
+    Q of lower dimension has no facets and volume 0.  A normal that is
+    not primitive is rejected.
     """
     if gcd(*normal) != 1:
         raise InvalidInput("normal %r is not primitive" % (normal,))
@@ -298,10 +341,15 @@ def lattice_volume(points, normal):
         return vol
     i = max(j for j in range(d) if normal[j] != 0)
     flat = sorted(set(p[:i] + p[i + 1:] for p in pts))
-    apex = flat[0]
-    # a facet through the apex has height 0 and is not recursed into
-    norm = sum(h * lattice_volume(g.points, g.normal)
-               for g in facets_of_points(flat)
-               if (h := dot(g.normal, apex) - g.offset))
+    if d == 3:
+        ring = _ring(flat)
+        norm = abs(sum(ax * by - ay * bx for (ax, ay), (bx, by)
+                       in zip(ring, ring[1:] + ring[:1])))
+    else:
+        apex = flat[0]
+        # a facet through the apex has height 0 and is not recursed into
+        norm = sum(h * lattice_volume(g.points, g.normal)
+                   for g in facets_of_points(flat)
+                   if (h := dot(g.normal, apex) - g.offset))
     assert norm % normal[i] == 0
     return norm // abs(normal[i])

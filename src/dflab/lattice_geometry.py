@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, product
 from math import comb, gcd, prod
+from sys import maxsize
 
 from .errors import (
     InconsistentVertices,
@@ -177,7 +178,10 @@ def fibres(poly, k):
     lows = [min(v[i] for v in poly.vertices) * k for i in range(poly.dim)]
     highs = [max(v[i] for v in poly.vertices) * k for i in range(poly.dim)]
     axes = [range(lo, hi + 1) for lo, hi in zip(lows[:-1], highs[:-1])]
-    size = prod(map(len, axes))
+    size = prod(r.stop - r.start for r in axes)
+    if size > maxsize:
+        raise InvalidInput("the lattice points of %dP lie over %d prefixes, "
+                           "too many to index" % (k, size))
     los, his = [lows[-1]] * size, [highs[-1]] * size
     for a, c in poly.facets:
         col = [-k * c]

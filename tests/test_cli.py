@@ -857,6 +857,33 @@ def test_a_level_table_too_large_to_index_exits_one(tmp_path, capsys):
                    "200000000000000000002 cells, too many to index\n")
 
 
+# each job asks for the lattice points of a dilate whose prefix grid has
+# more than sys.maxsize entries: a cox job through its huge r, the chart
+# jobs through the counts of 1P..nP behind their Ehrhart polynomial
+@pytest.mark.parametrize("job, message", [
+    ({"variety": {"type": "hirzebruch"},
+      "flag_ideal": {"mode": "cox", "ideals": [{"gens": [[1, 0, 0, 0]]}]},
+      "r": 10 ** 20},
+     "the lattice points of 100000000000000000000P lie over "
+     "300000000000000000001 prefixes"),
+    (_with(COMPUTE_JOB, flag_ideal=PLANE, variety={
+        "type": "projective_space", "n": 2, "d": 10 ** 20}),
+     "the lattice points of 1P lie over 100000000000000000001 prefixes"),
+    (_with(COMPUTE_JOB, flag_ideal=PLANE, variety={
+        "type": "box", "sides": [10 ** 20, 1]}),
+     "the lattice points of 1P lie over 100000000000000000001 prefixes"),
+    (_with(COMPUTE_JOB, flag_ideal=PLANE, variety={
+        "type": "polytope", "vertices": [[0, 0], [10 ** 20, 0], [0, 1]]}),
+     "the lattice points of 1P lie over 100000000000000000001 prefixes"),
+], ids=["cox_r", "projective_space_d", "box_side", "polytope_vertex"])
+def test_a_dilate_too_large_to_index_exits_one(tmp_path, capsys, job,
+                                               message):
+    code, out, err = run(capsys, ["compute", "--job", write_job(tmp_path, job)])
+    assert code == 1
+    assert out == ""
+    assert err == "invalid input: %s, too many to index\n" % message
+
+
 def test_compute_on_the_stock_hirzebruch_surface(tmp_path, capsys):
     # m on F1 with its anticanonical polarization at r = 2
     job = {"variety": {"type": "hirzebruch"},

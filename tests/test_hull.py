@@ -173,7 +173,8 @@ def test_lattice_volume_divides_by_the_dropped_normal_entry():
 def test_lattice_volume_recursion_stops_at_segments(monkeypatch):
     # a simplex's volume is read from its minors and a segment's from its
     # ends, so no hull is taken of d points in R^d or of points on a line,
-    # and the facet sum recurses only until its facets are simplices
+    # and the facet sum recurses only until its facets are simplices or
+    # polygons
     seen = []
     facets = hull.facets_of_points
 
@@ -188,18 +189,19 @@ def test_lattice_volume_recursion_stops_at_segments(monkeypatch):
     assert lattice_volume(cube, (0, 0, 0, 1)) == 8
     assert lattice_volume([(0, 0), (2, 4), (1, 2)], (2, -1)) == 2
     assert seen == []
-    # the unit cube takes the hull of itself and of its 3 squares off the
-    # origin, whose edges are segments
+    # the unit cube takes the hull of itself only: its 3 squares off the
+    # origin are polygons, read by the shoelace sum over their vertex ring
     cube = [(x, y, z, 0) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     assert lattice_volume(cube, (0, 0, 0, 1)) == 6
-    assert seen == [3, 2, 2, 2]
+    assert seen == [3]
 
 
 def test_lattice_volume_skips_the_facets_through_its_apex(monkeypatch):
     # a facet through the apex has height 0 over it and adds nothing to
     # the facet sum, so its volume is not taken: the unit cube recurses
-    # into its 3 squares off the origin, each into its 2 edges off its own
-    # apex; the unit simplex is read from its minors, with no recursion
+    # into its 3 squares off the origin and not the 3 through it, and a
+    # square's area is its shoelace sum, with no recursion; the unit
+    # simplex is read from its minors, with no recursion either
     calls = []
     volume = hull.lattice_volume
 
@@ -210,7 +212,7 @@ def test_lattice_volume_skips_the_facets_through_its_apex(monkeypatch):
     monkeypatch.setattr(hull, "lattice_volume", recorded)
     cube = [(x, y, z, 0) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     assert hull.lattice_volume(cube, (0, 0, 0, 1)) == 6
-    assert len(calls) == 1 + 3 * (1 + 2)
+    assert calls == [(0, 0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
     calls.clear()
     simplex = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
     assert hull.lattice_volume(simplex, (0, 0, 0, 1)) == 1
@@ -310,3 +312,75 @@ def test_lattice_volume_reads_a_simplex_from_its_minors(case):
         mp.setattr(hull, "facets_of_points", _no_hull)
         assert lattice_volume(moved, moved_normal) == \
             lattice_volume(pts, normal) == expected
+
+
+# ---------------------------------------------------------------------------
+# the planar path: facets from the vertex ring, areas by the shoelace sum
+
+@st.composite
+def planar_sets(draw):
+    """Points of R^2 with repeats: random points; points of a small grid,
+    many of them inside edges or the hull; or points on a line, one point
+    among them; each set possibly divided by 2, 3 or 6."""
+    shape = draw(st.sampled_from(["random", "grid", "line"]))
+    if shape == "random":
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=9))
+    elif shape == "grid":
+        pts = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                            min_size=1, max_size=12))
+    else:
+        (x, y), (u, v) = draw(st.tuples(coord, coord)), \
+            draw(st.tuples(coord, coord))
+        steps = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+        pts = [(x + s * u, y + s * v) for s in steps]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    q = draw(st.sampled_from([1, 1, 2, 3, 6]))
+    if q > 1:
+        pts = [tuple(Fraction(x, q) for x in p) for p in pts]
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(planar_sets())
+# a single point, repeated: no facets
+@example([(1, 2), (1, 2)])
+# a line with points between its ends: both orientations hold all five
+@example([(0, 0), (3, 6), (1, 2), (2, 4), (-1, -2)])
+# a square of side 2 with its edge midpoints and centre
+@example([(x, y) for x in (0, 1, 2) for y in (0, 1, 2)])
+# a rational triangle with an edge point
+@example([(Fraction(1, 2), 0), (0, Fraction(1, 3)), (0, 0), (Fraction(1, 4), 0)])
+def test_planar_facets_match_the_exhaustive_fraction_search(pts):
+    got = [(f.normal, f.offset, f.points) for f in facets_of_points(pts)]
+    assert got == oracles.facets_of_points(pts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=1, max_size=9),
+       st.integers(-2, 2), unimodular_moves(3))
+# collinear points, volume 0
+@example([(0, 0), (1, 1), (2, 2), (3, 3)], 1, [[1, 0, 0], [0, 1, 0],
+                                              [0, 0, 1]])
+# a square of side 2 with its edge midpoints and centre, on a tilted plane
+@example([(x, y) for x in (0, 1, 2) for y in (0, 1, 2)], 1,
+         [[1, 0, 0], [0, 1, 0], [1, 2, 1]])
+def test_lattice_volume_of_a_polygon_is_its_triangulated_area(flat, c, u):
+    # the polygon lies on x_3 = c; a unimodular map u carries it onto a
+    # plane whose primitive normal is e_3 u^-1
+    pts = [tuple(dot(row, p + (c,)) for row in u) for p in flat]
+    normal = tuple(int(x) for x in oracles.inverse(u)[2])
+    assert lattice_volume(pts, normal) == 2 * volume_of_points(flat, 2)
+
+
+def test_lattice_volume_of_a_polygon_takes_no_facet_search():
+    # the square of side 2 with its centre on z = 0, and a quadrilateral
+    # with an interior point on x + 2y + 3z = 6, whose projection to the
+    # first two coordinates is the square of side 3, of normalized area 18,
+    # over 3: both are read by the shoelace sum over their vertex ring
+    square = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 0)]
+    tilted = [(0, 0, 2), (3, 0, 1), (0, 3, 0), (3, 3, -1), (1, 1, 1)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hull, "facets_of_points", _no_hull)
+        assert lattice_volume(square, (0, 0, 1)) == 8
+        assert lattice_volume(tilted, (1, 2, 3)) == 6
