@@ -1,27 +1,25 @@
-"""Exact convex-hull primitives: planar rings and exhaustive subset search.
+"""Exact convex-hull primitives: planar rings and beneath-beyond.
 
 Point counts here are small (tens, not thousands).  In R^2 the facets are
 the edges of the counterclockwise vertex ring, built by Andrew's monotone
-chain with integer cross products.  In R^d for d >= 3 they are found by
-trying every d-subset for a supporting hyperplane, depth-first in
-lexicographic order: the subsets on one prefix share the minors of its
-difference rows, each prefix row being expanded once (intlinalg's
-extend_minors) and only when a subset through the prefix is tried, and a
-prefix whose minors all vanish is dropped with every subset through it.
-Normals are the integer cofactor vectors of intlinalg.hyperplane_normal,
-so integer points build no Fraction; a subset inside a facet already found
-is skipped, since it spans that facet's hyperplane or none, and the side
-test of a normal stops at the first point found on each side.  Everything
-else is read from those facets: a set of affine rank m is first projected
-onto m coordinates on which that rank survives (an affine isomorphism on
-its affine hull, integer points staying integer), its vertices are the
-points whose facet normals have rank m.  The one volume the library
-computes, the lattice volume of a set on a hyperplane, is the gcd of the
-minors of the difference rows for a simplex, built by the same
-extend_minors, the shoelace sum over the vertex ring for a polygon, and
-otherwise a facet sum one dimension down that stops at simplices and
-polygons; triangulations stay as the tests' reference.  All answers are
-exact.
+chain with integer cross products.  In R^d for d >= 3 they are built by
+beneath-beyond (Barber, Dobkin and Huhdanpaa, ACM TOMS 22, 1996) in exact
+integers: a seed simplex, whose d + 1 normals are the integer cofactor
+vectors of intlinalg.hyperplane_normal, then one point at a time, the
+faces it lies strictly below replaced by new faces through the ridges on
+their horizon and the point.  A new face's normal and offset are a
+combination of those of the two faces across its ridge, weighted by the
+point's heights over them, so after the seed no minor is computed and
+integer points build no Fraction.  Everything else is read from those
+facets: a set of affine rank m is first projected onto m coordinates on
+which that rank survives (an affine isomorphism on its affine hull,
+integer points staying integer), its vertices are the points whose facet
+normals have rank m.  The one volume the library computes, the lattice
+volume of a set on a hyperplane, is the gcd of the minors of the
+difference rows for a simplex, built by intlinalg's extend_minors, the
+shoelace sum over the vertex ring for a polygon, and otherwise a facet
+sum one dimension down that stops at simplices and polygons;
+triangulations stay as the tests' reference.  All answers are exact.
 """
 
 from __future__ import annotations
@@ -62,15 +60,10 @@ def facets_of_points(points):
     are the edges of the counterclockwise vertex ring (_ring), each
     holding the points on its line.
 
-    In R^d for d >= 3, the d-subsets are walked depth-first in
-    lexicographic order.  The minors of a prefix's difference rows are
-    extended from those of its own prefix by one row, once a subset
-    through it is tried, so the subsets on one prefix share its
-    expansion.  A prefix whose minors all vanish is dropped, since no
-    subset through it spans a hyperplane.  A subset inside a facet found
-    already spans its hyperplane or none and is skipped unexpanded; each
-    other subset gets its normal from hyperplane_normal and is a facet
-    when no point lies on one side.
+    In R^d for d >= 3 they are built by beneath-beyond
+    (_beneath_beyond): a seed simplex from the first affinely independent
+    points in sorted order, then each other point in sorted order, its
+    new faces turned about the ridges on its horizon.
     In any dimension, rational points are scaled once to integer ones
     with the same normals; offsets are read from the points as given.
     """
@@ -96,71 +89,110 @@ def facets_of_points(points):
                          if a * q[0] + b * q[1] == c)
             out.append(Facet((a, b), dot((a, b), held[0]), held))
         return sorted(out, key=lambda f: f.normal)
-    n = len(points)
-    seen = {}
-    done = set()
+    return _beneath_beyond(points, ints)
 
-    def expand(pts, minors):
-        """Minors of the difference rows of pts from those of all but the
-        last row, or None when they all vanish."""
-        if len(pts) == 1:
-            return minors
-        m = extend_minors(minors, [x - y for x, y in zip(pts[-1], pts[0])],
-                          len(pts) - 1)
-        return m if any(m) else None
 
-    def walk(sub, pts, minors):
-        """Try the d-subsets that extend sub, the indices of the integer
-        points pts.  minors are those of the difference rows of pts but
-        the last, which is expanded only once a subset through sub is
-        tried: a prefix whose subsets all lie on facets found costs none."""
-        k = len(sub)
-        if k < d - 1:
-            m = expand(pts, minors)
-            if m is not None:
-                for j in range(sub[-1] + 1, n - d + k + 1):
-                    walk(sub + (j,), pts + (ints[j],), m)
-            return
-        m = None
-        for j in range(sub[-1] + 1, n):
-            full = sub + (j,)
-            if full in done:
-                continue
-            if m is None:
-                m = expand(pts, minors)
-                if m is None:
-                    return
-            w = hyperplane_normal(pts + (ints[j],), m)
-            if w is None:
-                continue
-            c = dot(w, pts[0])
-            below = above = False
-            on = []
-            for i, q in enumerate(ints):
-                v = sum(map(mul, w, q))     # dot, inlined in the hot loop
-                if v == c:
-                    on.append(i)
-                elif v < c:
-                    below = True
-                    if above:
-                        break
-                else:
-                    above = True
-                    if below:
-                        break
-            else:
-                held = tuple(points[i] for i in on)
-                off = dot(w, points[sub[0]])
-                if not below:
-                    seen[w, off] = Facet(w, off, held)
-                if not above:
-                    neg = tuple(-x for x in w)
-                    seen[neg, -off] = Facet(neg, -off, held)
-                done.update(combinations(on, d))
+def _beneath_beyond(points, ints):
+    """Facets of conv(points), sorted by (normal, offset), for sorted
+    distinct points of R^d, d >= 3, with ints their integer images.
 
-    for i in range(n - d + 1):
-        walk((i,), (ints[i],), (1,))
-    return [seen[k] for k in sorted(seen)]
+    The hull's boundary is kept as simplices: a face is a d-tuple of
+    labels with its inner normal w and offset c, and each ridge, a face
+    less one label, maps to the two faces through it.  The seed simplex
+    is the first affinely independent points in sorted order, its faces'
+    normals from hyperplane_normal.  Every other point p, labelled after
+    all before it so that a face's labels stay sorted, sees the faces it
+    lies strictly below; none when p is in the hull, which stays as it
+    is.  A ridge of exactly one face G that p sees, across from a face F
+    it does not, is on the horizon, and the new face through it and p is
+    the member of the ridge's pencil through p: for the heights
+    h_G < 0 <= h_F of p over G and F its normal is
+    (-h_G) w_F + h_F w_G and its offset (-h_G) c_F + h_F c_G, over their
+    gcd.  The seen faces go and the new ones come in; a ridge between two
+    seen faces stays in the map unread, since each later face's ridges are
+    a kept face's or hold its new label.  Faces on one
+    hyperplane share its primitive normal, and each distinct normal is one
+    facet holding every point on its hyperplane.
+    """
+    d = len(ints[0])
+    p0 = ints[0]
+    seed, minors = [0], (1,)
+    for j in range(1, len(ints)):
+        m = extend_minors(minors, [x - y for x, y in zip(ints[j], p0)],
+                          len(seed))
+        if any(m):
+            seed.append(j)
+            minors = m
+            if len(seed) == d + 1:
+                break
+    if len(seed) < d:
+        return []
+    if len(seed) == d:
+        # rank d - 1: the hyperplane in both orientations
+        w = _normal([ints[i] for i in seed])
+        off = dot(w, points[0])
+        neg = tuple(-x for x in w)
+        return sorted([Facet(w, off, tuple(points)),
+                       Facet(neg, -off, tuple(points))],
+                      key=lambda f: f.normal)
+    order = seed + [j for j in range(len(ints)) if j not in seed]
+    pts = [ints[j] for j in order]
+    faces, ridges = {}, {}
+    for k in range(d + 1):
+        face = tuple(t for t in range(d + 1) if t != k)
+        sub = [pts[t] for t in face]
+        w = _normal(sub)
+        c = dot(w, sub[0])
+        if dot(w, pts[k]) < c:
+            w, c = tuple(-x for x in w), -c
+        faces[face] = w, c
+        for t in range(d):
+            ridges.setdefault(face[:t] + face[t + 1:], []).append(face)
+    for label in range(d + 1, len(pts)):
+        p = pts[label]
+        height = {face: sum(map(mul, w, p)) - c      # dot, inlined
+                  for face, (w, c) in faces.items()}
+        seen = [face for face, h in height.items() if h < 0]
+        new = []
+        for g in seen:
+            wg, cg = faces[g]
+            hg = -height[g]
+            for t in range(d):
+                ridge = g[:t] + g[t + 1:]
+                a, b = ridges[ridge]
+                f = b if a == g else a
+                hf = height[f]
+                if hf < 0:
+                    continue
+                wf, cf = faces[f]
+                w = [hg * x + hf * y for x, y in zip(wf, wg)]
+                e = gcd(*w)
+                face = ridge + (label,)
+                new.append((face, tuple([x // e for x in w]),
+                            (hg * cf + hf * cg) // e))
+                ridges[ridge] = [f, face]
+        for g in seen:
+            del faces[g]
+        for face, w, c in new:
+            faces[face] = w, c
+            for t in range(d - 1):
+                ridges.setdefault(face[:t] + face[t + 1:], []).append(face)
+    out = []
+    for w, c in sorted(set(faces.values())):
+        held = tuple(p for p, q in zip(points, ints)
+                     if sum(map(mul, w, q)) == c)
+        out.append(Facet(w, dot(w, held[0]), held))
+    return out
+
+
+def _normal(pts):
+    """hyperplane_normal of d affinely independent integer points of R^d,
+    the minors of their first d - 2 difference rows expanded here."""
+    minors = (1,)
+    for k in range(1, len(pts) - 1):
+        minors = extend_minors(
+            minors, [x - y for x, y in zip(pts[k], pts[0])], k)
+    return hyperplane_normal(pts, minors)
 
 
 def _ring(pts):

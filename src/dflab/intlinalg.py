@@ -8,13 +8,13 @@ solves read the minors of the rows that are independent of the rows
 before them, rows with Fraction entries being scaled to integer ones
 first, so the expansion builds no Fraction; solve_unique builds them only
 for its solution, by Cramer's rule.  A hyperplane normal is the cofactor
-vector of its difference rows, so a caller that walks subsets sharing a
-prefix expands each prefix row once.  No matrix is inverted: the chart
-frame at a smooth vertex is read off the polytope's edges.  The
-expansion costs one term per column of each subset of the columns,
-exponential in the width; the library's widths are at most n + 1, so at
-most 5, and the tests draw widths up to 6: at these sizes clarity wins
-over asymptotics.
+vector of its difference rows, expanded from the minors of all but the
+last, so hyperplanes through one prefix of points share its expansion.
+No matrix is inverted: the chart frame at a smooth vertex is read off the
+polytope's edges.  The expansion costs one term per column of each
+subset of the columns, exponential in the width; the library's widths
+are at most n + 1, so at most 5, and the tests draw widths up to 6: at
+these sizes clarity wins over asymptotics.
 """
 
 from __future__ import annotations

@@ -118,6 +118,19 @@ def facet_inputs(draw):
 @example(([(0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 0, 2), (0, 0, 0, 2, 0),
            (0, 0, 2, 0, 0), (0, 2, 0, 0, 0), (2, 0, 0, 0, 0), (1, 1, 0, 0, 0)],
           False))
+# beneath-beyond's degenerate steps: (1, 1, 0) lies on the hyperplane
+# z = 0 of a face of the seed simplex but outside it, and the new faces
+# through the ridges of that face lie on z = 0 too
+@example(([(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0)], False))
+# the seed point (1, 1, 0) stops being a vertex once (2, 0, 0) is added,
+# landing on the edge from (0, 2, 0) to (2, 0, 0)
+@example(([(0, 0, 0), (0, 0, 2), (0, 2, 0), (1, 1, 0), (2, 0, 0)], False))
+# the Newton polyhedron's support of (x^2, y^2, z^2, w^2, xyzw) > m at
+# N = 2 in R^5: its one compact facet, with normal (1, 1, 1, 1, 1), holds
+# 9 points and is no simplex
+@example(([(2, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 2, 0, 0), (0, 0, 0, 2, 0),
+           (1, 1, 1, 1, 0), (1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, 0, 1, 0, 1),
+           (0, 0, 0, 1, 1), (0, 0, 0, 0, 2)], True))
 def test_facets_match_the_exhaustive_fraction_search(case):
     pts, strictly_positive = case
     got = [(f.normal, f.offset, f.points) for f in facets_of_points(pts)
@@ -125,9 +138,21 @@ def test_facets_match_the_exhaustive_fraction_search(case):
     assert got == oracles.facets_of_points(pts, strictly_positive)
 
 
-def test_subsets_on_a_dependent_prefix_get_no_normal(monkeypatch):
-    # the first three points are collinear, so no 4-subset through them
-    # spans a hyperplane, and the search drops the prefix before trying one
+@settings(max_examples=100, deadline=None)
+@given(facet_inputs())
+# the first three points are collinear, so the seed skips the third
+@example(([(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2), (0, 0, 1, 0),
+           (0, 1, 0, 0), (1, 0, 0, 0)], False))
+# the cube of side 2 with its face centres
+@example(([(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
+          + [(1, 1, 0), (1, 1, 2), (1, 0, 1), (1, 2, 1), (0, 1, 1), (2, 1, 1)],
+          False))
+def test_hyperplane_normal_sees_only_the_seed_simplex(case):
+    # beneath-beyond takes normals from hyperplane_normal only for the
+    # seed simplex, whose d-subsets are affinely independent, and for the
+    # one hyperplane of a set of rank d - 1; every later normal is a
+    # combination of two faces' normals
+    pts, _ = case
     tried = []
     normal = hull.hyperplane_normal
 
@@ -135,15 +160,36 @@ def test_subsets_on_a_dependent_prefix_get_no_normal(monkeypatch):
         tried.append(points)
         return normal(points, *args)
 
-    monkeypatch.setattr(hull, "hyperplane_normal", recorded)
-    pts = [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2), (0, 0, 1, 0),
-           (0, 1, 0, 0), (1, 0, 0, 0)]
-    got = [(f.normal, f.offset, f.points) for f in facets_of_points(pts)]
-    assert got == oracles.facets_of_points(pts)
-    assert tried
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hull, "hyperplane_normal", recorded)
+        got = facets_of_points(pts)
+    d = len(pts[0])
+    uniq = sorted(set(pts))
+    full = len(uniq) > d and intlinalg.rank(
+        [[x - y for x, y in zip(p, uniq[0])] for p in uniq[1:]]) == d
+    if d <= 2:
+        assert tried == []
     for sub in tried:
-        rows = [[x - y for x, y in zip(p, sub[0])] for p in sub[1:-1]]
-        assert intlinalg.rank(rows) == 2
+        assert len(sub) == d
+        rows = [[x - y for x, y in zip(p, sub[0])] for p in sub[1:]]
+        assert intlinalg.rank(rows) == d - 1
+    if full:
+        assert len(tried) <= d + 2
+    else:
+        assert len(tried) <= 1
+        assert len(got) in (0, 2)
+
+
+def test_facets_of_cubes():
+    # the vertices of the 5-cube and the 6-cube, 32 and 64 points, which
+    # an exhaustive d-subset search could not reach in minutes
+    for d in (5, 6):
+        cube = [tuple((k >> i) & 1 for i in range(d)) for k in range(2 ** d)]
+        got = facets_of_points(cube)
+        assert sorted(f.normal for f in got) == sorted(
+            tuple(s if i == j else 0 for i in range(d))
+            for j in range(d) for s in (1, -1))
+        assert all(len(f.points) == 2 ** (d - 1) for f in got)
 
 
 def test_facets_of_integer_points_build_no_fraction(monkeypatch):

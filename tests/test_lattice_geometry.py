@@ -252,6 +252,12 @@ def test_intersection_numbers():
     assert projective_space(3, 1).intersection_numbers() == (1, -4)
 
 
+def test_intersection_numbers_of_the_unit_5_cube():
+    # the facets of 32 vertices in R^5, and the facet sum of lattice
+    # volumes that recurses through R^4: L^5 = 5! and L^4.K = -2 * 5!
+    assert box([1] * 5).numbers == (120, -240)
+
+
 # the intersection numbers are facet sums of lattice volumes; the reference
 # triangulates P for L^n and each facet's projection for its lattice volume
 
